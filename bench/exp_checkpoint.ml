@@ -54,11 +54,11 @@ let run_batch ~eps ~insts ~store ~checkpoint_every =
   let t0 = Timer.now () in
   let results =
     Engine.with_engine ~max_in_flight:1 ?store ~checkpoint_every (fun eng ->
-        List.iter
+        List.map
           (fun (id, inst) ->
-            ignore (Engine.submit eng (Job.solve_spec ~id ~eps (Job.Inline inst))))
-          insts;
-        Engine.drain eng)
+            Engine.submit eng (Job.solve_spec ~id ~eps (Job.Inline inst)))
+          insts
+        |> List.map (Engine.await eng))
   in
   let elapsed = Timer.now () -. t0 in
   let calls =

@@ -73,11 +73,11 @@ let run ~quick () =
         let t0 = Timer.now () in
         let results =
           Engine.with_engine ~pool ~max_in_flight:1 ~cache (fun eng ->
-              List.iter
+              List.map
                 (fun (id, inst, eps) ->
-                  ignore (Engine.submit eng (Job.solve_spec ~id ~eps (Job.Inline inst))))
-                jobs;
-              Engine.drain eng)
+                  Engine.submit eng (Job.solve_spec ~id ~eps (Job.Inline inst)))
+                jobs
+              |> List.map (Engine.await eng))
         in
         (Timer.now () -. t0, results)
       in

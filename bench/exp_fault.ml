@@ -43,8 +43,8 @@ let run_batch ?retry ?quarantine_after specs =
   Psdp_parallel.Pool.with_pool (fun pool ->
       Engine.with_engine ~pool ~max_in_flight:1 ?retry ?quarantine_after
         (fun eng ->
-          List.iter (fun s -> ignore (Engine.submit eng s)) specs;
-          let results = Engine.drain eng in
+          let handles = List.map (Engine.submit eng) specs in
+          let results = List.map (Engine.await eng) handles in
           List.iter
             (fun (r : Job.result) ->
               match r.Job.outcome with

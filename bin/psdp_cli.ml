@@ -579,8 +579,8 @@ let batch_cmd =
                 ?metrics ?profiler ~checkpoint_every:ckpt_every
                 ~retry:(retry_policy ~retries ~backoff) ?quarantine_after
                 (fun eng ->
-                  List.iter (fun s -> ignore (Engine.submit eng s)) specs;
-                  let results = Engine.drain eng in
+                  let handles = List.map (Engine.submit eng) specs in
+                  let results = List.map (Engine.await eng) handles in
                   (results, Engine.quarantined eng)))
         in
         (if out = "-" then List.iter (print_result stdout) results
@@ -1024,13 +1024,14 @@ let trace_group_cmd =
     Cmd.v
       (Cmd.info "summarize" ~exits:solver_exits
          ~doc:
-           "Summarize a telemetry trace: per-job queue wait and run time, \
-            per-phase latency quantiles (p50/p90/p99), a work-attribution \
-            table over solver span paths (from the engine's $(b,profile) \
-            events, present when the run had $(b,--metrics)), cache \
-            hit/warm/miss counts, and fault-layer event counts (retries, \
-            quarantines, store faults, breaker trips, runner restarts, \
-            sketch resamples).")
+           "Summarize a telemetry trace: per-job status, queue wait and \
+            run time (from each job's $(b,queue_wait) and $(b,exec) \
+            spans), per-phase latency quantiles (p50/p90/p99), a \
+            work-attribution table over the solver span paths under \
+            $(b,exec), cache hit/warm/parent/miss counts, serve request \
+            counts, and fault-layer event counts (retries, quarantines, \
+            store faults, breaker trips, runner restarts, sketch \
+            resamples).")
       Term.(const run $ trace_pos)
   in
   let critical_path_cmd =
@@ -1126,26 +1127,14 @@ let slo_group_cmd =
       Arg.(value & flag & info [ "json" ] ~doc)
     in
     let run files target json =
-      let read_events path =
-        try
-          let ic = open_in path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () ->
-              let rec go acc =
-                match input_line ic with
-                | line -> (
-                    match Json.parse (String.trim line) with
-                    | Ok j -> go (j :: acc)
-                    | Error _ -> go acc (* torn tail / alien line *))
-                | exception End_of_file -> List.rev acc
-              in
-              go [])
-        with Sys_error msg ->
-          Printf.eprintf "psdp slo report: %s\n" msg;
-          exit exit_bad_input
+      (* Torn tails and alien lines are skipped, as in [trace]. *)
+      let events =
+        match Trace_assemble.read_files files with
+        | Ok (events, _) -> events
+        | Error msg ->
+            Printf.eprintf "psdp slo report: %s\n" msg;
+            exit exit_bad_input
       in
-      let events = List.concat_map read_events files in
       let report = Slo.report_of_events target events in
       if json then
         print_endline (Json.to_string (Slo.report_to_json report))
@@ -1157,8 +1146,9 @@ let slo_group_cmd =
            "Compute offline SLO compliance from trace files: request \
             counts, latency quantiles, compliance against the declared \
             target, trailing-window burn rates and total error-budget \
-            consumption. Latencies come from $(b,serve_completed) events \
-            when present, else from $(b,job_finished) elapsed times.")
+            consumption. Latencies are the durations of $(b,request) spans \
+            (serve admission to response, or client submission to \
+            result) when present, else of the engine's $(b,exec) spans.")
       Term.(const run $ files_arg $ target_arg $ json_flag)
   in
   Cmd.group

@@ -164,17 +164,9 @@ let record_result t (result : Job.result) =
   | None -> ()
   | Some (ctx, t0) ->
       Hashtbl.remove t.inflight id;
-      let status =
-        match result.Job.outcome with
-        | Job.Solved _ -> "ok"
-        | Job.Decided { accepted; _ } -> if accepted then "ok" else "rejected"
-        | Job.Failed _ -> "failed"
-        | Job.Cancelled -> "cancelled"
-        | Job.Timed_out -> "timeout"
-      in
       Trace.span t.trace ~job:id ~ctx ~name:"request"
         ~dur:(Timer.now () -. t0)
-        [ ("status", Json.Str status) ]
+        [ ("status", Json.Str (Job.status_string result.Job.outcome)) ]
 
 let collect ?timeout t ~expected =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in

@@ -306,8 +306,6 @@ let rec dispatch t =
           j.j_worker <- Some w.w_name;
           Hashtbl.replace w.w_jobs id ();
           journal t (Journal.Assigned { job = id; worker = w.w_name });
-          Trace.emit t.trace ~job:id ~kind:"job_assigned"
-            [ ("worker", Json.Str w.w_name) ];
           Log.debug (fun m -> m "assigned %s to %s" id w.w_name);
           set_worker_gauges t;
           set_queue_gauge t;
@@ -357,9 +355,7 @@ and worker_dead t w ~reason =
           j.j_wait_start <- Timer.now ();
           j.j_worker <- None;
           Queue.push id t.queue;
-          incr rerouted;
-          Trace.emit t.trace ~job:id ~kind:"job_rerouted"
-            [ ("from", Json.Str w.w_name) ]
+          incr rerouted
       | _ -> ())
     w.w_jobs;
   (match t.meters with
@@ -445,7 +441,6 @@ let accept_job t peer (spec : Job.spec) =
                 journal t (Journal.Submitted { job = spec.Job.id; spec = json })
             | Error _ -> ());
             (match t.meters with Some m -> Metrics.inc m.m_submitted | None -> ());
-            Trace.emit t.trace ~job:spec.Job.id ~kind:"job_accepted" [];
             set_queue_gauge t;
             dispatch t)
   end
@@ -464,14 +459,7 @@ let accept_result t peer (result : Job.result) =
           | Some w -> Hashtbl.remove w.w_jobs id
           | None -> ())
       | _ -> ());
-      let status =
-        match result.Job.outcome with
-        | Job.Solved _ -> "ok"
-        | Job.Decided { accepted; _ } -> if accepted then "ok" else "rejected"
-        | Job.Failed _ -> "failed"
-        | Job.Cancelled -> "cancelled"
-        | Job.Timed_out -> "timeout"
-      in
+      let status = Job.status_string result.Job.outcome in
       (* Journal the result body too: after a failover, the promoted
          standby answers an idempotent resubmission of this job from
          the replicated record — the result outlives this process. *)
@@ -479,8 +467,6 @@ let accept_result t peer (result : Job.result) =
       Hashtbl.replace t.done_results id rjson;
       journal t (Journal.Completed { job = id; status; result = Some rjson });
       (match t.meters with Some m -> Metrics.inc m.m_completed | None -> ());
-      Trace.emit t.trace ~job:id ~kind:"job_completed"
-        [ ("status", Json.Str status) ];
       (match j.j_assign with
       | Some (actx, t0a) ->
           Trace.span t.trace ~job:id ~ctx:actx ~name:"assign"
@@ -530,6 +516,17 @@ let drop_peer t peer ~reason =
       Transport.close peer.conn
 
 let handle_msg t peer msg =
+  (* Any frame from a registered worker proves it alive: a worker kept
+     busy by a stream of submissions never idles long enough to send a
+     Heartbeat, and must not be declared dead for it. *)
+  (match peer.role with
+  | Worker_role name -> (
+      match Hashtbl.find_opt t.workers name with
+      | Some w ->
+          w.w_last_seen <- Unix.gettimeofday ();
+          w.w_missed <- 0
+      | None -> ())
+  | Pending | Client_role | Standby_role _ -> ());
   match msg with
   | Proto.Hello { worker; capacity; fence } ->
       if fence > t.epoch then begin
@@ -611,10 +608,7 @@ let handle_msg t peer msg =
       | Standby_role _ -> ignore (safe_send peer Proto.Heartbeat_ack)
       | _ -> (
           match Hashtbl.find_opt t.workers worker with
-          | Some w ->
-              w.w_last_seen <- Unix.gettimeofday ();
-              w.w_missed <- 0;
-              ignore (safe_send w.w_peer Proto.Heartbeat_ack)
+          | Some w -> ignore (safe_send w.w_peer Proto.Heartbeat_ack)
           | None ->
               (* A heartbeat from a worker we already declared dead: tell
                  it to go away so it can reconnect fresh. *)

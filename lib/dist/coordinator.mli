@@ -18,8 +18,9 @@
     the job to a worker, and [Completed] — now carrying the result
     body — when the result arrives; the same WAL the single-process
     engine writes, so [psdp journal] tools read it unchanged. A worker
-    that misses heartbeats past the grace period (or whose connection
-    drops) is declared dead; its unfinished jobs are re-queued and
+    that stays silent past the grace period — no frame of any kind, so
+    a worker busy streaming results counts as alive without heartbeating
+    — or whose connection drops is declared dead; its unfinished jobs are re-queued and
     re-journaled as [Assigned] to their new worker. On startup the
     coordinator replays its journal: every job submitted but never
     completed is re-queued, and every completed job's result is loaded
@@ -53,8 +54,8 @@ type config = {
   name : string;  (** announced in [Welcome] *)
   heartbeat_every : float;  (** seconds between worker heartbeats *)
   heartbeat_grace : float;
-      (** silence after which a worker is declared dead; must exceed
-          [heartbeat_every] *)
+      (** silence (no frame at all) after which a worker is declared
+          dead; must exceed [heartbeat_every] *)
   max_payload : int;  (** per-frame payload acceptance limit, bytes *)
 }
 

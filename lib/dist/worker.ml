@@ -184,88 +184,95 @@ let run ?metrics ?max_payload ?(trace = Trace.null) ?(retry = default_retry)
                 ("epoch", Json.Num (float_of_int epoch));
               ];
             let stop = ref None in
+            let handle_buffered () =
+              try
+                let continue = ref true in
+                while !continue do
+                  match Transport.pop conn with
+                  | None -> continue := false
+                  | Some (Proto.Submit { spec; epoch }) ->
+                      Failpoint.hit ~arg:spec.Job.id "dist.worker.tick";
+                      if epoch < !fence then begin
+                        reject_stale conn ~what:"submit" ~epoch;
+                        stop := Some (Link_lost "stale coordinator");
+                        continue := false
+                      end
+                      else begin
+                        fence := max !fence epoch;
+                        let replay =
+                          Mutex.lock lock;
+                          let r = Hashtbl.find_opt recent spec.Job.id in
+                          (match r with
+                          | Some result -> Queue.push result outbox
+                          | None -> ());
+                          Mutex.unlock lock;
+                          r <> None
+                        in
+                        if replay then begin
+                          Trace.emit trace ~job:spec.Job.id
+                            ~kind:"result_replayed" [];
+                          if not (flush_outbox conn) then begin
+                            stop := Some (Link_lost "connection lost");
+                            continue := false
+                          end
+                        end
+                        else begin
+                          Atomic.incr inflight;
+                          ignore (Engine.submit engine spec)
+                        end
+                      end
+                  | Some Proto.Heartbeat_ack -> ()
+                  | Some (Proto.Goodbye { reason }) ->
+                      (* "coordinator stopped" is the cluster winding
+                         down; anything else (e.g. "unknown worker"
+                         after we were declared dead) means: go away
+                         and come back fresh. *)
+                      if reason = "coordinator stopped" then
+                        stop := Some (Finished ("dismissed: " ^ reason))
+                      else stop := Some (Link_lost ("dismissed: " ^ reason));
+                      continue := false
+                  | Some Proto.Shutdown ->
+                      stop := Some (Finished "shutdown");
+                      continue := false
+                  | Some other ->
+                      Log.warn (fun m ->
+                          m "unexpected %s from coordinator; ignored"
+                            (Proto.describe other))
+                done
+              with Transport.Protocol_failure why ->
+                stop := Some (Link_lost ("protocol failure: " ^ why))
+            in
             if not (flush_outbox conn) then stop := Some (Link_lost "connection lost");
             while !stop = None do
               Failpoint.hit ~arg:name "dist.worker.tick";
-              let readable, _, _ =
-                try
-                  Unix.select
-                    [ Transport.fd conn; notify_r ]
-                    [] [] heartbeat_every
-                with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-              in
-              if List.mem notify_r readable then drain_notify ();
-              if not (flush_outbox conn) then
-                stop := Some (Link_lost "connection lost")
-              else if readable = [] then begin
-                try
-                  Transport.send conn
-                    (Proto.Heartbeat
-                       { worker = name; inflight = Atomic.get inflight })
-                with Transport.Closed | Unix.Unix_error _ ->
+              (* Frames already in the buffer first: the read that
+                 brought the Welcome (or an earlier batch) may hold a
+                 Submit, and select does not wake for buffered bytes. *)
+              handle_buffered ();
+              if !stop = None then begin
+                let readable, _, _ =
+                  try
+                    Unix.select
+                      [ Transport.fd conn; notify_r ]
+                      [] [] heartbeat_every
+                  with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+                in
+                if List.mem notify_r readable then drain_notify ();
+                if not (flush_outbox conn) then
                   stop := Some (Link_lost "connection lost")
+                else if readable = [] then begin
+                  try
+                    Transport.send conn
+                      (Proto.Heartbeat
+                         { worker = name; inflight = Atomic.get inflight })
+                  with Transport.Closed | Unix.Unix_error _ ->
+                    stop := Some (Link_lost "connection lost")
+                end
+                else if
+                  List.mem (Transport.fd conn) readable
+                  && not (Transport.fill conn)
+                then stop := Some (Link_lost "connection closed")
               end
-              else if List.mem (Transport.fd conn) readable then
-                match Transport.fill conn with
-                | false -> stop := Some (Link_lost "connection closed")
-                | true -> (
-                    try
-                      let continue = ref true in
-                      while !continue do
-                        match Transport.pop conn with
-                        | None -> continue := false
-                        | Some (Proto.Submit { spec; epoch }) ->
-                            Failpoint.hit ~arg:spec.Job.id "dist.worker.tick";
-                            if epoch < !fence then begin
-                              reject_stale conn ~what:"submit" ~epoch;
-                              stop := Some (Link_lost "stale coordinator");
-                              continue := false
-                            end
-                            else begin
-                              fence := max !fence epoch;
-                              let replay =
-                                Mutex.lock lock;
-                                let r = Hashtbl.find_opt recent spec.Job.id in
-                                (match r with
-                                | Some result -> Queue.push result outbox
-                                | None -> ());
-                                Mutex.unlock lock;
-                                r <> None
-                              in
-                              if replay then begin
-                                Trace.emit trace ~job:spec.Job.id
-                                  ~kind:"result_replayed" [];
-                                if not (flush_outbox conn) then begin
-                                  stop := Some (Link_lost "connection lost");
-                                  continue := false
-                                end
-                              end
-                              else begin
-                                Atomic.incr inflight;
-                                ignore (Engine.submit engine spec)
-                              end
-                            end
-                        | Some Proto.Heartbeat_ack -> ()
-                        | Some (Proto.Goodbye { reason }) ->
-                            (* "coordinator stopped" is the cluster
-                               winding down; anything else (e.g.
-                               "unknown worker" after we were declared
-                               dead) means: go away and come back
-                               fresh. *)
-                            if reason = "coordinator stopped" then
-                              stop := Some (Finished ("dismissed: " ^ reason))
-                            else stop := Some (Link_lost ("dismissed: " ^ reason));
-                            continue := false
-                        | Some Proto.Shutdown ->
-                            stop := Some (Finished "shutdown");
-                            continue := false
-                        | Some other ->
-                            Log.warn (fun m ->
-                                m "unexpected %s from coordinator; ignored"
-                                  (Proto.describe other))
-                      done
-                    with Transport.Protocol_failure why ->
-                      stop := Some (Link_lost ("protocol failure: " ^ why)))
             done;
             match !stop with
             | Some v -> finish v

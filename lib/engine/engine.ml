@@ -43,8 +43,6 @@ type meters = {
   m_cache_stores : Metrics.counter;
   m_pool_parallel : Metrics.counter;
   m_pool_fallbacks : Metrics.counter;
-  m_cost_work : Metrics.gauge;
-  m_cost_depth : Metrics.gauge;
   m_retries : Metrics.counter;
   m_quarantined : Metrics.gauge;
   m_breaker_open : Metrics.gauge;
@@ -92,12 +90,6 @@ let make_meters reg =
     m_pool_fallbacks =
       Metrics.counter reg ~help:"pool loops that ran sequentially (busy pool)"
         "psdp_pool_busy_fallbacks_total";
-    m_cost_work =
-      Metrics.gauge reg ~help:"abstract work charged by the cost model"
-        "psdp_cost_work";
-    m_cost_depth =
-      Metrics.gauge reg ~help:"abstract depth charged by the cost model"
-        "psdp_cost_depth";
     m_retries =
       Metrics.counter reg ~help:"job attempts retried after transient faults"
         "psdp_retries_total";
@@ -125,6 +117,10 @@ type handle = {
   cancel_flag : bool Atomic.t;
   resume_from : Snapshot.t option;  (* recovery: seed the bisection *)
   submitted_at : float;  (* Timer.now at acceptance; queue-wait span base *)
+  base : (Trace_context.t * bool) option;
+      (* the context this job's spans parent under, and whether the
+         engine minted it (and so owns the enclosing "job" span); None
+         when tracing is off *)
   mutable state : state;  (* protected by the engine mutex *)
 }
 
@@ -139,14 +135,12 @@ type t = {
   mutex : Mutex.t;
   cond : Condition.t;  (* signals job completion and resume *)
   mutable paused : bool;
-  mutable handles : handle list;  (* newest first *)
   mutable seq : int;
   nonce : string;  (* per-engine submit nonce: auto ids never collide
                       across engines or processes (coordinator journals
                       mix ids from many workers) *)
   mutable runners : unit Domain.t list;
   mutable stopped : bool;
-  iter_batch : int;
   on_complete : (Job.result -> unit) option;
   meters : meters option;
   oprofiler : Profiler.t option;  (* process-wide; per-job merged in *)
@@ -207,7 +201,7 @@ let breaker_guard eng ~what f =
         raise e
 
 (* Mirror the counters other subsystems keep for themselves (cache,
-   pool, cost model) into the registry. [record] raises-to-at-least, so
+   pool, fault taxonomy) into the registry. [record] raises-to-at-least, so
    sampling at every job boundary and at shutdown never double-counts. *)
 let sample_meters eng =
   match eng.meters with
@@ -222,9 +216,6 @@ let sample_meters eng =
       let ps = Pool.stats eng.epool in
       Metrics.record m.m_pool_parallel ps.Pool.parallel_loops;
       Metrics.record m.m_pool_fallbacks ps.Pool.busy_fallbacks;
-      let c = Cost.read () in
-      Metrics.set m.m_cost_work (float_of_int c.Cost.work);
-      Metrics.set m.m_cost_depth (float_of_int c.Cost.depth);
       List.iter
         (fun k ->
           Metrics.record
@@ -293,29 +284,9 @@ let exec_ctx eng =
     Exec.pool = eng.epool;
     cache = eng.ecache;
     trace = eng.etrace;
-    iter_batch = eng.iter_batch;
     persist = exec_persist eng;
     hooks = exec_hooks eng;
   }
-
-let finished_fields (r : Job.result) =
-  match r.Job.outcome with
-  | Job.Solved s ->
-      [
-        ("status", Json.Str "ok");
-        ("value", Json.Num s.value);
-        ("upper", Json.Num s.upper_bound);
-        ("calls", Json.Num (float_of_int s.decision_calls));
-        ("iters", Json.Num (float_of_int s.iterations));
-      ]
-  | Job.Decided d ->
-      [
-        ("status", Json.Str (if d.accepted then "ok" else "rejected"));
-        ("iters", Json.Num (float_of_int d.iterations));
-      ]
-  | Job.Failed msg -> [ ("status", Json.Str "failed"); ("error", Json.Str msg) ]
-  | Job.Cancelled -> [ ("status", Json.Str "cancelled") ]
-  | Job.Timed_out -> [ ("status", Json.Str "timeout") ]
 
 (* Journal the terminal record. Solver verdicts (including failures) are
    [Completed] — the job is settled and recovery must not rerun it.
@@ -360,26 +331,55 @@ let journal_quarantine eng ~job ~reason ~attempts =
                  (Journal.Quarantined { job; reason; attempts })))
       with _ -> ())
 
-let finish ?(record = true) eng h (result : Job.result) =
+(* Settle a job: journal it, close its spans, publish the result. Every
+   terminal path — a run, a cancellation before the run, a runner crash
+   — ends here, so each settled job has exactly one "exec" span. It
+   carries the result's fields (status, value, upper, calls, iters,
+   cache, certified; or error) and lasts [elapsed]. [exec_ctx] is the
+   context the run already parented its phase spans under. *)
+let finish ?(record = true) ?exec_ctx eng h (result : Job.result) =
   if record then journal_finish eng result;
+  (match h.base with
+  | None -> ()
+  | Some (b, minted) ->
+      let id = result.Job.id in
+      let attrs =
+        match Job.result_to_json result with
+        | Json.Obj fields ->
+            List.filter (fun (k, _) -> k <> "id" && k <> "elapsed") fields
+        | _ -> []
+      in
+      Trace.span eng.etrace ~job:id
+        ~ctx:(match exec_ctx with Some c -> c | None -> Trace_context.child b)
+        ~name:"exec" ~dur:result.Job.elapsed attrs;
+      if minted then
+        Trace.span eng.etrace ~job:id ~ctx:b ~name:"job"
+          ~dur:(Timer.now () -. h.submitted_at)
+          [ ("status", Json.Str (Job.status_string result.Job.outcome)) ]);
   Mutex.lock eng.mutex;
   h.state <- Done result;
   Condition.broadcast eng.cond;
   Mutex.unlock eng.mutex;
-  Trace.emit eng.etrace ~job:result.Job.id ~kind:"job_finished"
-    (finished_fields result
-    @ [ ("elapsed", Json.Num result.Job.elapsed) ]);
   match eng.on_complete with Some f -> f result | None -> ()
 
 let run_one eng h =
   let id = h.spec.Job.id in
+  let t0 = Timer.now () in
+  (* Distributed tracing: [h.base] is the span the submitter owns (a
+     client's request, a coordinator's assignment), or a root the engine
+     minted for a plain [psdp batch] job; everything this engine emits
+     parents under it. *)
+  (match h.base with
+  | Some (b, _) ->
+      Trace.span eng.etrace ~job:id ~ctx:(Trace_context.child b)
+        ~name:"queue_wait" ~dur:(t0 -. h.submitted_at) []
+  | None -> ());
   if Atomic.get h.cancel_flag then
     finish eng h { Job.id; outcome = Job.Cancelled; elapsed = 0.0 }
   else begin
     Mutex.lock eng.mutex;
     h.state <- Running;
     Mutex.unlock eng.mutex;
-    Trace.emit eng.etrace ~job:id ~kind:"job_started" [];
     (match eng.meters with
     | Some m ->
         Metrics.set m.m_in_flight
@@ -397,27 +397,13 @@ let run_one eng h =
       | None -> ()
     in
     Fun.protect ~finally:decr_in_flight @@ fun () ->
-    (* Distributed tracing: [spec.trace] is the span the submitter owns
-       (a client's request, a coordinator's assignment); everything this
-       engine emits parents under it. With no inherited context — a
-       plain [psdp batch] run — the engine mints a fresh root and emits
-       the enclosing "job" span itself, so a single-process trace still
-       assembles into one tree. All span bookkeeping is skipped when the
-       sink is null. *)
-    let base =
-      if Trace.enabled eng.etrace then
-        match h.spec.Job.trace with
-        | Some parent -> Some (parent, false)
-        | None -> Some (Trace_context.mint (), true)
-      else None
-    in
     (* Each job profiles into a private registry — runner domains never
        share span state — and the result is merged into the process-wide
        profiler after the fact. Tracing forces a profiler even without
        one attached: phase spans (load, solve, certify) are derived from
        the profiler rows. *)
     let job_prof =
-      if Option.is_some eng.oprofiler || Option.is_some base then
+      if Option.is_some eng.oprofiler || Option.is_some h.base then
         Some (Profiler.create ())
       else None
     in
@@ -426,12 +412,6 @@ let run_one eng h =
       | None -> Profiler.disabled
       | Some p -> Profiler.root p "solve"
     in
-    let t0 = Timer.now () in
-    (match base with
-    | Some (b, _) ->
-        Trace.span eng.etrace ~job:id ~ctx:(Trace_context.child b)
-          ~name:"queue_wait" ~dur:(t0 -. h.submitted_at) []
-    | None -> ());
     let deadline = Option.map (fun s -> t0 +. s) h.spec.Job.timeout in
     let fail_message = function
       | Exec.Store_crash msg -> "checkpoint store: " ^ msg
@@ -532,87 +512,52 @@ let run_one eng h =
     let outcome, record = attempt 1 in
     let elapsed = Timer.now () -. t0 in
     Profiler.exit prof;
-    let status =
-      match outcome with
-      | Job.Solved _ -> "ok"
-      | Job.Decided { accepted; _ } -> if accepted then "ok" else "rejected"
-      | Job.Failed _ -> "failed"
-      | Job.Cancelled -> "cancelled"
-      | Job.Timed_out -> "timeout"
-    in
-    (match base with
-    | None -> ()
-    | Some (b, minted) ->
-        let exec_span = Trace_context.child b in
-        (* Phase spans mirror the profiler tree: paths sort so a parent
-           ("solve") precedes its children ("solve/certify"), letting
-           each row's context link under its parent's. Rows whose parent
-           path never profiled fall back to the exec span. *)
-        (match job_prof with
-        | None -> ()
-        | Some p ->
-            let rows =
-              List.sort
-                (fun (a : Profiler.row) (b : Profiler.row) ->
-                  compare a.Profiler.path b.Profiler.path)
-                (Profiler.report p)
+    (* Phase spans mirror the profiler tree under the exec span: paths
+       sort so a parent ("solve") precedes its children
+       ("solve/certify"), letting each row's context link under its
+       parent's. Rows whose parent path never profiled fall back to the
+       exec span. *)
+    let exec_ctx = Option.map (fun (b, _) -> Trace_context.child b) h.base in
+    (match (exec_ctx, job_prof) with
+    | Some exec_span, Some p ->
+        let rows =
+          List.sort
+            (fun (a : Profiler.row) (b : Profiler.row) ->
+              compare a.Profiler.path b.Profiler.path)
+            (Profiler.report p)
+        in
+        let ctxs = Hashtbl.create 8 in
+        List.iter
+          (fun (r : Profiler.row) ->
+            let path = r.Profiler.path in
+            let parent_ctx, name =
+              match String.rindex_opt path '/' with
+              | None -> (exec_span, path)
+              | Some i ->
+                  ( (match Hashtbl.find_opt ctxs (String.sub path 0 i) with
+                    | Some c -> c
+                    | None -> exec_span),
+                    String.sub path (i + 1) (String.length path - i - 1) )
             in
-            let ctxs = Hashtbl.create 8 in
-            List.iter
-              (fun (r : Profiler.row) ->
-                let path = r.Profiler.path in
-                let parent_ctx, name =
-                  match String.rindex_opt path '/' with
-                  | None -> (exec_span, path)
-                  | Some i ->
-                      ( (match
-                           Hashtbl.find_opt ctxs (String.sub path 0 i)
-                         with
-                        | Some c -> c
-                        | None -> exec_span),
-                        String.sub path (i + 1) (String.length path - i - 1)
-                      )
-                in
-                let c = Trace_context.child parent_ctx in
-                Hashtbl.replace ctxs path c;
-                Trace.span eng.etrace ~job:id ~ctx:c ~name
-                  ~dur:r.Profiler.total
-                  [ ("count", Json.Num (float_of_int r.Profiler.count)) ])
-              rows);
-        Trace.span eng.etrace ~job:id ~ctx:exec_span ~name:"exec"
-          ~dur:elapsed
-          [ ("status", Json.Str status) ];
-        if minted then
-          Trace.span eng.etrace ~job:id ~ctx:b ~name:"job"
-            ~dur:(Timer.now () -. h.submitted_at)
-            [ ("status", Json.Str status) ]);
+            let c = Trace_context.child parent_ctx in
+            Hashtbl.replace ctxs path c;
+            Trace.span eng.etrace ~job:id ~ctx:c ~name ~dur:r.Profiler.total
+              [ ("count", Json.Num (float_of_int r.Profiler.count)) ])
+          rows
+    | _ -> ());
     (match (job_prof, eng.oprofiler) with
-    | Some p, Some shared ->
-        Trace.emit eng.etrace ~job:id ~kind:"profile"
-          [
-            ( "spans",
-              Json.Obj
-                (List.map
-                   (fun (r : Profiler.row) ->
-                     ( r.Profiler.path,
-                       Json.Obj
-                         [
-                           ("count", Json.Num (float_of_int r.Profiler.count));
-                           ("total", Json.Num r.Profiler.total);
-                         ] ))
-                   (Profiler.report p)) );
-          ];
-        Profiler.merge ~into:shared p
+    | Some p, Some shared -> Profiler.merge ~into:shared p
     | _ -> ());
     (match eng.meters with
     | Some m ->
         Metrics.observe m.m_job_seconds elapsed;
         Metrics.inc
           (Metrics.counter m.reg ~help:"jobs finished, by terminal status"
-             ~labels:[ ("status", status) ] "psdp_jobs_finished_total");
+             ~labels:[ ("status", Job.status_string outcome) ]
+             "psdp_jobs_finished_total");
         sample_meters eng
     | None -> ());
-    finish ~record eng h { Job.id; outcome; elapsed }
+    finish ~record ?exec_ctx eng h { Job.id; outcome; elapsed }
   end
 
 (* Supervision: an exception escaping [run_one] must not kill the
@@ -678,12 +623,11 @@ let fresh_nonce () =
     0 8
 
 let create ?pool ?(max_in_flight = 2) ?cache ?trace ?store
-    ?(checkpoint_every = 1) ?(paused = false) ?(iter_batch = 32) ?metrics
-    ?profiler ?on_complete ?(retry = Retry.no_retry) ?retry_budget
-    ?quarantine_after ?(breaker_threshold = 5) () =
+    ?(checkpoint_every = 1) ?(paused = false) ?metrics ?profiler ?on_complete
+    ?(retry = Retry.no_retry) ?retry_budget ?quarantine_after
+    ?(breaker_threshold = 5) () =
   if max_in_flight < 1 then
     invalid_arg "Engine.create: max_in_flight must be >= 1";
-  if iter_batch < 1 then invalid_arg "Engine.create: iter_batch must be >= 1";
   if checkpoint_every < 1 then
     invalid_arg "Engine.create: checkpoint_every must be >= 1";
   (match quarantine_after with
@@ -705,12 +649,10 @@ let create ?pool ?(max_in_flight = 2) ?cache ?trace ?store
       mutex = Mutex.create ();
       cond = Condition.create ();
       paused;
-      handles = [];
       seq = 0;
       nonce = fresh_nonce ();
       runners = [];
       stopped = false;
-      iter_batch;
       on_complete;
       meters = Option.map make_meters metrics;
       oprofiler = profiler;
@@ -788,22 +730,20 @@ let submit_with ?resume eng (spec : Job.spec) =
   in
   Mutex.unlock eng.mutex;
   let spec = journal_submit eng spec in
-  Mutex.lock eng.mutex;
+  (* With no inherited context — a plain [psdp batch] job — the engine
+     mints a root and emits the enclosing "job" span itself, so a
+     single-process trace still assembles into one tree. *)
+  let base =
+    if Trace.enabled eng.etrace then
+      match spec.Job.trace with
+      | Some parent -> Some (parent, false)
+      | None -> Some (Trace_context.mint (), true)
+    else None
+  in
   let h =
     { spec; cancel_flag = Atomic.make false; resume_from = resume;
-      submitted_at = Timer.now (); state = Pending }
+      submitted_at = Timer.now (); base; state = Pending }
   in
-  eng.handles <- h :: eng.handles;
-  Mutex.unlock eng.mutex;
-  Trace.emit eng.etrace ~job:spec.Job.id ~kind:"job_submitted"
-    [
-      ( "op",
-        Json.Str
-          (match spec.Job.op with Job.Solve -> "solve" | Job.Decide _ -> "decide")
-      );
-      ("eps", Json.Num spec.Job.eps);
-      ("priority", Json.Num (float_of_int spec.Job.priority));
-    ];
   Scheduler.push eng.sched ~priority:spec.Job.priority h;
   (match eng.meters with
   | Some m ->
@@ -900,12 +840,6 @@ let resume eng =
   Condition.broadcast eng.cond;
   Mutex.unlock eng.mutex
 
-let drain eng =
-  Mutex.lock eng.mutex;
-  let all = List.rev eng.handles in
-  Mutex.unlock eng.mutex;
-  List.map (fun h -> await eng h) all
-
 let shutdown eng =
   Mutex.lock eng.mutex;
   if eng.stopped then Mutex.unlock eng.mutex
@@ -935,12 +869,12 @@ let shutdown eng =
   end
 
 let with_engine ?pool ?max_in_flight ?cache ?trace ?store ?checkpoint_every
-    ?iter_batch ?metrics ?profiler ?on_complete ?retry ?retry_budget
-    ?quarantine_after ?breaker_threshold f =
+    ?metrics ?profiler ?on_complete ?retry ?retry_budget ?quarantine_after
+    ?breaker_threshold f =
   let eng =
     create ?pool ?max_in_flight ?cache ?trace ?store ?checkpoint_every
-      ?iter_batch ?metrics ?profiler ?on_complete ?retry ?retry_budget
-      ?quarantine_after ?breaker_threshold ()
+      ?metrics ?profiler ?on_complete ?retry ?retry_budget ?quarantine_after
+      ?breaker_threshold ()
   in
   match f eng with
   | result ->

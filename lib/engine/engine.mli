@@ -28,20 +28,25 @@
       instance digest; an exact repeat is answered without solver work,
       and an ε-refinement warm-starts from the certified coarse bracket.
       Decision jobs are not cached (they are single calls already).
-    - {b Telemetry}: every step emits a {!Trace} event; the per-job
-      counters in [job_finished] match the per-job event stream (as the
-      test suite asserts).
+    - {b Telemetry}: with a {!Trace} sink attached, every job is a span
+      tree: [queue_wait], then one [exec] span carrying the result
+      ([status], and [value]/[upper]/[calls]/[iters]/[cache]/
+      [certified] for solves), with the job's profiler rows ([solve]
+      down to the kernels) as its children — plus an enclosing [job]
+      root when the spec carried no trace context. Point events are
+      left for what has no span: [decision_call] (one per call, so the
+      count matches the exec span's [calls]), checkpoints, faults and
+      recovery.
     - {b Observability}: with a {!Psdp_obs.Metrics} registry attached,
       the engine feeds counters (jobs submitted / finished by status,
       solver iterations, decision calls, mirrored cache / pool stats),
-      gauges (queue depth, jobs in flight, cost-model work / depth) and
-      histograms ([psdp_job_seconds], [psdp_decision_iterations]).
-      With a {!Psdp_obs.Profiler} attached, each job is profiled into a
-      private per-job profiler (runner domains share no span state)
-      whose root ["solve"] span covers the whole solve; the per-job
-      rows are emitted as a ["profile"] trace event and then merged
-      into the shared profiler. Pointing the profiler at the same
-      registry puts span histograms in the same Prometheus snapshot.
+      gauges (queue depth, jobs in flight) and histograms
+      ([psdp_job_seconds], [psdp_decision_iterations]). Each job is
+      profiled into a private per-job profiler (runner domains share no
+      span state) whose root ["solve"] span covers the whole solve; with
+      a {!Psdp_obs.Profiler} attached the per-job rows are merged into
+      it. Pointing the profiler at the same registry puts span
+      histograms in the same Prometheus snapshot.
 
     Runners re-verify every solve's dual certificate against the
     instance before reporting it, so a cache or warm-start bug can
@@ -77,7 +82,6 @@ val create :
   ?store:Psdp_store.Store.t ->
   ?checkpoint_every:int ->
   ?paused:bool ->
-  ?iter_batch:int ->
   ?metrics:Psdp_obs.Metrics.t ->
   ?profiler:Psdp_obs.Profiler.t ->
   ?on_complete:(Job.result -> unit) ->
@@ -93,9 +97,7 @@ val create :
     [cache] defaults to a fresh memory-only cache; [trace] to
     {!Trace.null}. With [paused = true] runners hold until {!resume} —
     tests use this to make priority ordering deterministic.
-    [iter_batch] (default 32) is the telemetry batching period: one
-    [iter_batch] event per that many solver iterations. [on_complete]
-    fires in the runner domain after each job finishes (any terminal
+    [on_complete] fires in the runner domain after each job finishes (any terminal
     status) — [psdp serve] streams results from it.
 
     [store] (default none — no durability) attaches a checkpoint store;
@@ -171,9 +173,6 @@ val await : t -> handle -> Job.result
 val resume : t -> unit
 (** Release runners created with [paused = true]. Idempotent. *)
 
-val drain : t -> Job.result list
-(** Wait for every job submitted so far; results in submission order. *)
-
 val quarantined : t -> Psdp_store.Store.quarantined list
 (** Jobs this engine quarantined, oldest first. (Jobs quarantined by a
     {e previous} process are listed by
@@ -195,7 +194,6 @@ val with_engine :
   ?trace:Trace.sink ->
   ?store:Psdp_store.Store.t ->
   ?checkpoint_every:int ->
-  ?iter_batch:int ->
   ?metrics:Psdp_obs.Metrics.t ->
   ?profiler:Psdp_obs.Profiler.t ->
   ?on_complete:(Job.result -> unit) ->

@@ -28,7 +28,6 @@ type ctx = {
   pool : Psdp_parallel.Pool.t;
   cache : Cache.t;
   trace : Trace.sink;
-  iter_batch : int;
   persist : (job:string -> Psdp_store.Snapshot.t -> unit) option;
   hooks : hooks;
 }
@@ -43,16 +42,9 @@ let load_instance = function
 let run ctx ?resume:resume_from ~check ~prof (spec : Job.spec) =
   let id = spec.Job.id in
   let iters = ref 0 in
-  let on_iter (st : Decision.iter_stats) =
+  let on_iter (_ : Decision.iter_stats) =
     incr iters;
     ctx.hooks.on_iteration ();
-    if !iters mod ctx.iter_batch = 0 then
-      Trace.emit ctx.trace ~job:id ~kind:"iter_batch"
-        [
-          ("iters", Json.Num (float_of_int !iters));
-          ("l1", Json.Num st.Decision.l1);
-          ("trace_w", Json.Num st.Decision.trace_w);
-        ];
     check ()
   in
   (* Load and certification get their own profiler phases: they are the
@@ -93,15 +85,10 @@ let run ctx ?resume:resume_from ~check ~prof (spec : Job.spec) =
       let digest = Loader.digest inst in
       let backend = Job.backend_key spec.Job.backend in
       let mode = Job.mode_key spec.Job.mode in
-      let emit_cache status =
-        Trace.emit ctx.trace ~job:id ~kind:"cache"
-          [ ("status", Json.Str status); ("digest", Json.Str digest) ]
-      in
       match
         Cache.find ctx.cache ~digest ~eps:spec.Job.eps ~backend ~mode
       with
       | Some e ->
-          emit_cache "hit";
           Job.Solved
             {
               value = e.Cache.value;
@@ -137,20 +124,10 @@ let run ctx ?resume:resume_from ~check ~prof (spec : Job.spec) =
           let warm =
             match (warm_entry, parent_entry) with
             | Some e, _ ->
-                emit_cache "warm";
                 { Solver.upper = Some e.Cache.upper_bound;
                   x0 = Some e.Cache.x }
-            | None, Some e ->
-                Trace.emit ctx.trace ~job:id ~kind:"cache"
-                  [
-                    ("status", Json.Str "parent");
-                    ("digest", Json.Str digest);
-                    ("parent", Json.Str e.Cache.digest);
-                  ];
-                { Solver.upper = None; x0 = Some e.Cache.x }
-            | None, None ->
-                emit_cache "miss";
-                Solver.cold
+            | None, Some e -> { Solver.upper = None; x0 = Some e.Cache.x }
+            | None, None -> Solver.cold
           in
           (* A recovery snapshot is adopted only if it provably belongs
              to this exact work item: same instance content (digest),
@@ -245,11 +222,6 @@ let run ctx ?resume:resume_from ~check ~prof (spec : Job.spec) =
               Profiler.with_span prof "certify" (fun () ->
                   Certificate.check_dual inst r.Solver.x)
             in
-            Trace.emit ctx.trace ~job:id ~kind:"cert_verified"
-              [
-                ("lambda_max", Json.Num cert.Certificate.lambda_max);
-                ("feasible", Json.Bool cert.Certificate.feasible);
-              ];
             (r, cert)
           in
           let r, cert = run_solver ?checkpoint spec.Job.backend in

@@ -48,7 +48,6 @@ type ctx = {
   pool : Psdp_parallel.Pool.t;
   cache : Cache.t;
   trace : Trace.sink;
-  iter_batch : int;  (** one [iter_batch] trace event per this many iterations *)
   persist : (job:string -> Psdp_store.Snapshot.t -> unit) option;
       (** called after every decision call with the current bisection
           state as a snapshot; the callback decides frequency (via

@@ -71,6 +71,13 @@ let cache_status_string = function
   | Parent -> "parent"
   | Miss -> "miss"
 
+let status_string = function
+  | Solved _ -> "ok"
+  | Decided d -> if d.accepted then "ok" else "rejected"
+  | Failed _ -> "failed"
+  | Cancelled -> "cancelled"
+  | Timed_out -> "timeout"
+
 (* ------------------------------------------------------------------ *)
 (* Decoding *)
 
@@ -212,31 +219,28 @@ let spec_to_json spec =
            @ timeout_fields @ parent_fields @ trace_fields))
 
 let result_to_json r =
-  let status, fields =
+  let fields =
     match r.outcome with
     | Solved s ->
-        ( "ok",
-          [
-            ("value", Json.Num s.value);
-            ("upper", Json.Num s.upper_bound);
-            ("calls", Json.Num (float_of_int s.decision_calls));
-            ("iters", Json.Num (float_of_int s.iterations));
-            ("cache", Json.Str (cache_status_string s.cache));
-            ("certified", Json.Bool s.certified);
-          ] )
+        [
+          ("value", Json.Num s.value);
+          ("upper", Json.Num s.upper_bound);
+          ("calls", Json.Num (float_of_int s.decision_calls));
+          ("iters", Json.Num (float_of_int s.iterations));
+          ("cache", Json.Str (cache_status_string s.cache));
+          ("certified", Json.Bool s.certified);
+        ]
     | Decided d ->
-        ( (if d.accepted then "ok" else "rejected"),
-          [
-            ("accepted", Json.Bool d.accepted);
-            ("bound", Json.Num d.bound);
-            ("iters", Json.Num (float_of_int d.iterations));
-          ] )
-    | Failed msg -> ("failed", [ ("error", Json.Str msg) ])
-    | Cancelled -> ("cancelled", [])
-    | Timed_out -> ("timeout", [])
+        [
+          ("accepted", Json.Bool d.accepted);
+          ("bound", Json.Num d.bound);
+          ("iters", Json.Num (float_of_int d.iterations));
+        ]
+    | Failed msg -> [ ("error", Json.Str msg) ]
+    | Cancelled | Timed_out -> []
   in
   Json.Obj
-    (("id", Json.Str r.id) :: ("status", Json.Str status)
+    (("id", Json.Str r.id) :: ("status", Json.Str (status_string r.outcome))
     :: fields
     @ [ ("elapsed", Json.Num r.elapsed) ])
 

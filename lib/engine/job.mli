@@ -106,7 +106,12 @@ val mode_key : Decision.mode -> string
 
 val cache_status_string : cache_status -> string
 (** ["hit"] / ["warm"] / ["parent"] / ["miss"] — the [cache] field of
-    the result JSON and the trace [cache] event's [status]. *)
+    the result JSON and of the engine's [exec] trace span. *)
+
+val status_string : outcome -> string
+(** ["ok"] / ["rejected"] / ["failed"] / ["cancelled"] / ["timeout"] —
+    the [status] field of the result JSON and of the trace spans that
+    close a job ([exec], [job], [assign], [request]). *)
 
 (** {1 JSON codecs} *)
 

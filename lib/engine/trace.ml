@@ -105,6 +105,22 @@ let flush_sink sink =
       sink.unflushed <- 0;
       Mutex.unlock sink.mutex
 
+let point_kinds =
+  [
+    "decision_call"; "checkpoint"; "engine_started"; "engine_stopped";
+    "job_fault"; "job_retry"; "job_quarantined"; "store_fault";
+    "breaker_open"; "runner_restarted"; "sketch_resample";
+    "recovery_started"; "job_recovered"; "resume"; "snapshot_rejected";
+    "recovery_skipped"; "journal_torn"; "serve_rejected";
+    "coordinator_started"; "coordinator_stopped"; "worker_joined";
+    "worker_dead"; "job_reattached"; "job_resubmit_deduped";
+    "protocol_failure"; "deposed_hello"; "standby_attached";
+    "standby_detached"; "standby_tailing"; "standby_dismissed";
+    "standby_promoted"; "worker_registered"; "worker_reconnect_backoff";
+    "fence_rejected"; "result_replayed"; "client_resubmitted";
+    "client_redirected";
+  ]
+
 let events sink =
   match sink.target with
   | Memory buf ->

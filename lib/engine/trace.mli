@@ -1,12 +1,12 @@
-(** Structured telemetry for the batch engine.
+(** Structured telemetry: one span stream per process.
 
-    Every observable step of a batch run — job lifecycle, decision calls,
-    iteration batches, cache traffic, certificate checks — is emitted as
-    one JSON object with a per-sink monotonic timestamp. A sink decides
-    where events go: nowhere, an in-memory buffer (tests introspect it),
-    or an output channel as JSONL (one compact object per line — the
-    format `psdp batch --trace` writes and the bench harness and
-    [psdp trace summarize] consume).
+    A duration is recorded once, as a [span] event (see {!span}); the
+    assembler ({!Psdp_obs.Trace_assemble}) is the one reader of spans,
+    behind [psdp trace summarize], [psdp trace critical-path] and
+    [psdp slo report]. Point events remain only for what has no span.
+    A sink decides where events go: nowhere, an in-memory buffer (tests
+    introspect it), or an output channel as JSONL (one compact object
+    per line — the format every [--trace] flag writes).
 
     Emission is thread-safe. Events are formatted {e outside} the sink
     mutex; only the timestamp (whose clamp must match write order) and
@@ -18,13 +18,23 @@
     the event stream).
 
     Event schema: [{"t": seconds_since_sink_creation, "kind": str,
-    "job": str?, ...kind-specific fields}]. Kinds used by the engine:
-    [job_submitted], [job_started], [job_finished], [decision_call],
-    [iter_batch], [cache], [cert_verified], [profile] (per-job span
-    totals, when a profiler is attached), [engine_started],
-    [engine_stopped]; and, when a checkpoint store is attached,
-    [checkpoint], [recovery_started], [job_recovered], [resume],
-    [snapshot_rejected], [recovery_skipped], [journal_torn]. *)
+    "job": str?, "role": str?, "pid": int?, ...kind-specific fields}].
+
+    Spans ([kind = "span"], plus [name], [ctx], [dur]) and their
+    attributes:
+    - engine: [queue_wait]; [exec] — the job's result: [status], and
+      [value]/[upper]/[calls]/[iters]/[cache]/[certified] for solves,
+      [accepted]/[bound]/[iters] for decisions, [error] for failures;
+      one span per profiler row under [exec] ([solve], [load],
+      [decision_call], [iteration], [expm], …) with its [count]; and
+      [job] ([status]) when the engine minted the trace root;
+    - serve: [request] — [requested_eps], [served_eps], [degrade_level];
+    - coordinator: [queue_wait]/[reroute_wait] ([worker]), [assign]
+      ([worker], [status] — a result status or ["rerouted"]), and [job]
+      ([status]) when it minted the root;
+    - client: [request] ([status]).
+
+    Point events are exactly {!point_kinds}. *)
 
 open Psdp_prelude
 
@@ -76,6 +86,24 @@ val span :
 val flush_sink : sink -> unit
 (** Force any batched events out to the channel. No-op for {!null} and
     {!memory} sinks. *)
+
+val point_kinds : string list
+(** Every non-span event kind the program emits:
+    - engine: [decision_call], [checkpoint], [engine_started],
+      [engine_stopped]; faults [job_fault], [job_retry],
+      [job_quarantined], [store_fault], [breaker_open],
+      [runner_restarted], [sketch_resample]; recovery
+      [recovery_started], [job_recovered], [resume],
+      [snapshot_rejected], [recovery_skipped], [journal_torn];
+    - serve: [serve_rejected];
+    - coordinator and standby: [coordinator_started],
+      [coordinator_stopped], [worker_joined], [worker_dead],
+      [job_reattached], [job_resubmit_deduped], [protocol_failure],
+      [deposed_hello], [standby_attached], [standby_detached],
+      [standby_tailing], [standby_dismissed], [standby_promoted];
+    - worker: [worker_registered], [worker_reconnect_backoff],
+      [fence_rejected], [result_replayed];
+    - client: [client_resubmitted], [client_redirected]. *)
 
 val events : sink -> Json.t list
 (** Events recorded so far, oldest first. Empty for {!null} and

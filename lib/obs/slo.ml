@@ -244,29 +244,20 @@ let report ?(windows = default_windows) tgt samples =
        if allowed > 0.0 then float_of_int breaches /. allowed else 0.0);
   }
 
-(* Latency samples from a trace stream: serve_completed events carry an
-   explicit admission-to-response latency; batch/worker streams fall
-   back to job_finished elapsed, so a distributed smoke trace still
-   yields a meaningful report. *)
+(* Latency samples from a trace stream, read through Trace_assemble:
+   [request] spans carry an admission-to-response latency (the serve
+   tier's, or a client's submission-to-result one); batch and worker
+   streams have none and fall back to the engine's [exec] spans, so a
+   distributed smoke trace still yields a meaningful report. *)
 let samples_of_events events =
-  let serve = ref [] and finished = ref [] in
-  List.iter
-    (fun ev ->
-      match
-        ( Option.bind (Json.mem "t" ev) Json.num,
-          Option.bind (Json.mem "kind" ev) Json.str )
-      with
-      | Some t, Some "serve_completed" -> (
-          match Option.bind (Json.mem "latency" ev) Json.num with
-          | Some l -> serve := (t, l) :: !serve
-          | None -> ())
-      | Some t, Some "job_finished" -> (
-          match Option.bind (Json.mem "elapsed" ev) Json.num with
-          | Some l -> finished := (t, l) :: !finished
-          | None -> ())
-      | _ -> ())
-    events;
-  if !serve <> [] then List.rev !serve else List.rev !finished
+  let nodes = Trace_assemble.nodes (Trace_assemble.of_events events) in
+  let named name =
+    List.filter_map
+      (fun (n : Trace_assemble.node) ->
+        if n.span.name = name then Some (n.span.finish, n.span.dur) else None)
+      nodes
+  in
+  match named "request" with [] -> named "exec" | samples -> samples
 
 let report_of_events ?windows tgt events =
   report ?windows tgt (samples_of_events events)

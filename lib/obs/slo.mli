@@ -63,8 +63,11 @@ val report :
 
 val report_of_events :
   ?windows:(string * float) list -> target -> Psdp_prelude.Json.t list -> report
-(** Samples from a trace stream: [serve_completed] latencies when
-    present, else [job_finished] elapsed times. *)
+(** Samples from a trace stream's spans, read through
+    {!Trace_assemble}: [request] span durations when the stream has any
+    (serve admission-to-response, or client submission-to-result),
+    else the engine's [exec] span durations. Each sample is stamped
+    with its span's local end. *)
 
 val report_to_json : report -> Psdp_prelude.Json.t
 val pp_report : Format.formatter -> report -> unit

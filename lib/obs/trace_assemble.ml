@@ -22,6 +22,7 @@ type span = {
   job : string option;
   dur : float;  (* seconds, self-reported by the emitting process *)
   finish : float;  (* local stamp of emission; same-process order only *)
+  attrs : (string * Json.t) list;  (* the event's other fields *)
 }
 
 type node = { span : span; mutable children : node list; mutable self : float }
@@ -43,6 +44,10 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
+
+(* The envelope every span event carries; whatever else it holds is
+   the emitter's payload (status, count, worker, served_eps, ...). *)
+let envelope = [ "t"; "kind"; "job"; "role"; "pid"; "name"; "ctx"; "dur" ]
 
 let span_of_event ev =
   match
@@ -67,6 +72,11 @@ let span_of_event ev =
           finish =
             Option.value ~default:0.0
               (Option.bind (Json.mem "t" ev) Json.num);
+          attrs =
+            (match ev with
+            | Json.Obj fields ->
+                List.filter (fun (k, _) -> not (List.mem k envelope)) fields
+            | _ -> []);
         }
   | _ -> None
 
@@ -171,7 +181,7 @@ let of_events events =
 
 (* Lenient line parsing: a torn tail or an alien line costs one skipped
    count, never the whole assembly. *)
-let of_lines lines =
+let parse_lines lines =
   let events = ref [] and bad = ref 0 in
   List.iter
     (fun line ->
@@ -181,10 +191,15 @@ let of_lines lines =
         | Ok ev -> events := ev :: !events
         | Error _ -> incr bad)
     lines;
-  let t = of_events (List.rev !events) in
-  { t with skipped = t.skipped + !bad }
+  (List.rev !events, !bad)
 
-let load_files paths =
+let of_parsed (events, bad) =
+  let t = of_events events in
+  { t with skipped = t.skipped + bad }
+
+let of_lines lines = of_parsed (parse_lines lines)
+
+let read_files paths =
   let read path =
     let ic = open_in path in
     Fun.protect
@@ -198,14 +213,18 @@ let load_files paths =
          with End_of_file -> ());
         List.rev !lines)
   in
-  let rec go acc = function
-    | [] -> Ok (of_lines (List.concat (List.rev acc)))
-    | path :: rest -> (
-        match read path with
-        | lines -> go (lines :: acc) rest
-        | exception Sys_error msg -> Error msg)
-  in
-  go [] paths
+  match List.concat_map read paths with
+  | lines -> Ok (parse_lines lines)
+  | exception Sys_error msg -> Error msg
+
+let load_files paths = Result.map of_parsed (read_files paths)
+
+let nodes t =
+  let rec walk acc n = List.fold_left walk (n :: acc) n.children in
+  List.rev
+    (List.fold_left
+       (fun acc tree -> List.fold_left walk acc tree.roots)
+       [] t.trees)
 
 (* ------------------------------------------------------------------ *)
 (* Analytics *)

@@ -18,6 +18,12 @@ type span = {
   job : string option;
   dur : float;  (** seconds, self-reported by the emitting process *)
   finish : float;  (** local emission stamp; same-process order only *)
+  attrs : (string * Psdp_prelude.Json.t) list;
+      (** the event's remaining fields — the emitter's payload, e.g. an
+          engine [exec] span's [status]/[calls]/[iters]/[cache], a
+          profiler span's [count], a serve [request] span's
+          [served_eps]/[degrade_level], a coordinator [assign] span's
+          [worker]/[status] *)
 }
 
 type node = { span : span; mutable children : node list; mutable self : float }
@@ -44,6 +50,18 @@ val of_lines : string list -> t
 val load_files : string list -> (t, string) result
 (** Concatenate and assemble several per-process trace files; only
     I/O errors are [Error]. *)
+
+val parse_lines : string list -> Psdp_prelude.Json.t list * int
+(** The lenient JSONL parse behind {!of_lines}: the events, and the
+    number of non-blank lines that did not parse. *)
+
+val read_files : string list -> (Psdp_prelude.Json.t list * int, string) result
+(** {!parse_lines} over the concatenated files; only I/O errors are
+    [Error]. Point events are kept, for readers that also count them. *)
+
+val nodes : t -> node list
+(** Every assembled span, tree by tree, each tree in pre-order
+    (a parent before its children). *)
 
 type seg = {
   path : string;  (** slash-joined names from the root *)

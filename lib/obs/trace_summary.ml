@@ -43,23 +43,6 @@ let fault_kinds =
     "breaker_open"; "runner_restarted"; "sketch_resample";
   ]
 
-let serve_kinds =
-  [ "serve_admitted"; "serve_rejected"; "eps_degraded"; "serve_completed" ]
-
-(* ---------------------------------------------------------------- *)
-(* Accumulation *)
-
-type job_acc = {
-  mutable submitted : float option;
-  mutable started : float option;
-  mutable finished : float option;
-  mutable jstatus : string;
-  mutable elapsed : float option;
-  mutable jcalls : int;
-  mutable jiters : int;
-  mutable call_stamps : float list;  (* newest first *)
-}
-
 let quantiles name samples =
   let arr = Array.of_list samples in
   {
@@ -71,36 +54,19 @@ let quantiles name samples =
     p99 = (if arr = [||] then Float.nan else Stats.quantile arr 0.99);
   }
 
+let bump tbl k =
+  Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+
+let attr (s : Trace_assemble.span) key conv =
+  Option.bind (List.assoc_opt key s.Trace_assemble.attrs) conv
+
+(* Spans come only through Trace_assemble; the point events that have
+   no span (decision calls, faults, sheds) are read here directly. *)
 let of_events events =
-  let jobs : (string, job_acc) Hashtbl.t = Hashtbl.create 16 in
-  let job_order = ref [] in
-  let acc id =
-    match Hashtbl.find_opt jobs id with
-    | Some a -> a
-    | None ->
-        let a =
-          {
-            submitted = None;
-            started = None;
-            finished = None;
-            jstatus = "?";
-            elapsed = None;
-            jcalls = 0;
-            jiters = 0;
-            call_stamps = [];
-          }
-        in
-        Hashtbl.replace jobs id a;
-        job_order := id :: !job_order;
-        a
-  in
-  let cache_counts : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let fault_counts : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let serve_counts : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let spans : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
-  let span_order = ref [] in
+  let n_events = ref 0 and rejected = ref 0 in
   let t_min = ref Float.infinity and t_max = ref Float.neg_infinity in
-  let n_events = ref 0 in
+  let fault_counts = Hashtbl.create 8 in
+  let call_stamps : (string, float list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun ev ->
       match (Option.bind (Json.mem "t" ev) Json.num,
@@ -110,111 +76,86 @@ let of_events events =
           incr n_events;
           if t < !t_min then t_min := t;
           if t > !t_max then t_max := t;
-          let job = Option.bind (Json.mem "job" ev) Json.str in
-          let num field =
-            Option.bind (Json.mem field ev) Json.num
-          in
-          match (kind, job) with
-          | "job_submitted", Some id -> (acc id).submitted <- Some t
-          | "job_started", Some id -> (acc id).started <- Some t
-          | "job_finished", Some id ->
-              let a = acc id in
-              a.finished <- Some t;
-              a.jstatus <-
-                Option.value ~default:"?"
-                  (Option.bind (Json.mem "status" ev) Json.str);
-              a.elapsed <- num "elapsed";
-              (match num "calls" with
-              | Some c -> a.jcalls <- int_of_float c
-              | None -> ());
-              (match num "iters" with
-              | Some i -> a.jiters <- int_of_float i
-              | None -> ())
+          match (kind, Option.bind (Json.mem "job" ev) Json.str) with
           | "decision_call", Some id ->
-              let a = acc id in
-              a.call_stamps <- t :: a.call_stamps
-          | "cache", _ ->
-              let status =
-                Option.value ~default:"?"
-                  (Option.bind (Json.mem "status" ev) Json.str)
-              in
-              Hashtbl.replace cache_counts status
-                (1 + Option.value ~default:0 (Hashtbl.find_opt cache_counts status))
-          | k, _ when List.mem k fault_kinds ->
-              Hashtbl.replace fault_counts k
-                (1 + Option.value ~default:0 (Hashtbl.find_opt fault_counts k))
-          | k, _ when List.mem k serve_kinds ->
-              Hashtbl.replace serve_counts k
-                (1 + Option.value ~default:0 (Hashtbl.find_opt serve_counts k))
-          | "profile", _ -> (
-              match Json.mem "spans" ev with
-              | Some (Json.Obj paths) ->
-                  List.iter
-                    (fun (path, v) ->
-                      let c =
-                        Option.value ~default:0
-                          (Option.bind (Json.mem "count" v) Json.int)
-                      and s =
-                        Option.value ~default:0.0
-                          (Option.bind (Json.mem "total" v) Json.num)
-                      in
-                      (match Hashtbl.find_opt spans path with
-                      | Some (c0, s0) ->
-                          Hashtbl.replace spans path (c0 + c, s0 +. s)
-                      | None ->
-                          Hashtbl.replace spans path (c, s);
-                          span_order := path :: !span_order))
-                    paths
-              | _ -> ())
+              Hashtbl.replace call_stamps id
+                (t :: Option.value ~default:[] (Hashtbl.find_opt call_stamps id))
+          | "serve_rejected", _ -> incr rejected
+          | k, _ when List.mem k fault_kinds -> bump fault_counts k
           | _ -> ()))
     events;
+  let nodes = Trace_assemble.nodes (Trace_assemble.of_events events) in
+  (* An engine run's queue_wait and exec spans are siblings: both hang
+     under the context the job was submitted with. *)
+  let waits = Hashtbl.create 16 in
+  List.iter
+    (fun (n : Trace_assemble.node) ->
+      let s = n.span in
+      if s.name = "queue_wait" then
+        Hashtbl.replace waits (s.ctx.Trace_context.parent_id, s.job) s)
+    nodes;
+  (* One row per job (its last exec span wins), the exec subtree's
+     profiler spans as attribution paths relative to exec, and the
+     exec span's cache outcome. *)
+  let rows = Hashtbl.create 16 and job_order = ref [] in
+  let spans = Hashtbl.create 16 and cache_counts = Hashtbl.create 4 in
+  let rec attribute prefix (n : Trace_assemble.node) =
+    let path =
+      if prefix = "" then n.span.name else prefix ^ "/" ^ n.span.name
+    in
+    let count = Option.value ~default:1 (attr n.span "count" Json.int) in
+    let c0, s0 = Option.value ~default:(0, 0.0) (Hashtbl.find_opt spans path) in
+    Hashtbl.replace spans path (c0 + count, s0 +. n.span.dur);
+    List.iter (attribute path) n.children
+  in
+  List.iter
+    (fun (n : Trace_assemble.node) ->
+      match (n.span.name, n.span.job) with
+      | "exec", Some id ->
+          let s = n.span in
+          let wait =
+            Hashtbl.find_opt waits (s.ctx.Trace_context.parent_id, s.job)
+          in
+          let int_attr k = Option.value ~default:0 (attr s k Json.int) in
+          let row =
+            {
+              job = id;
+              status = Option.value ~default:"?" (attr s "status" Json.str);
+              queue_wait =
+                (match wait with Some w -> w.dur | None -> Float.nan);
+              run = s.dur;
+              calls = int_attr "calls";
+              iters = int_attr "iters";
+            }
+          in
+          if not (Hashtbl.mem rows id) then job_order := id :: !job_order;
+          Hashtbl.replace rows id (row, s.finish);
+          Option.iter (bump cache_counts) (attr s "cache" Json.str);
+          List.iter (attribute "") n.children
+      | _ -> ())
+    nodes;
   let job_rows =
-    List.rev_map
-      (fun id ->
-        let a = Hashtbl.find jobs id in
-        let queue_wait =
-          match (a.submitted, a.started) with
-          | Some s, Some r -> Float.max 0.0 (r -. s)
-          | _ -> Float.nan
-        in
-        let run =
-          match a.elapsed with
-          | Some e -> e
-          | None -> (
-              match (a.started, a.finished) with
-              | Some s, Some f -> f -. s
-              | _ -> Float.nan)
-        in
-        { job = id; status = a.jstatus; queue_wait; run;
-          calls = a.jcalls; iters = a.jiters })
-      !job_order
+    List.rev_map (fun id -> fst (Hashtbl.find rows id)) !job_order
   in
   (* Per-decision-call latency: gaps between consecutive decision_call
-     stamps within one job, closed by the job_finished stamp (the last
+     stamps within one job, closed by the exec span's stamp (the last
      call's work ends when the job does). *)
   let call_latencies =
     Hashtbl.fold
-      (fun _ a l ->
+      (fun id stamps l ->
         let stamps =
-          match a.finished with
-          | Some f when a.call_stamps <> [] -> f :: a.call_stamps
-          | _ -> a.call_stamps
+          match Hashtbl.find_opt rows id with
+          | Some (_, finish) -> finish :: stamps
+          | None -> stamps
         in
         let rec gaps = function
           | later :: (earlier :: _ as rest) -> (later -. earlier) :: gaps rest
           | _ -> []
         in
         gaps stamps @ l)
-      jobs []
+      call_stamps []
   in
-  let collect f = List.filter (fun v -> Float.is_finite v) (List.map f job_rows) in
-  let latencies =
-    [
-      quantiles "queue_wait" (collect (fun j -> j.queue_wait));
-      quantiles "job_run" (collect (fun j -> j.run));
-      quantiles "decision_call" call_latencies;
-    ]
-  in
+  let collect f = List.filter Float.is_finite (List.map f job_rows) in
   let root_total =
     Hashtbl.fold
       (fun path (_, s) acc ->
@@ -222,71 +163,57 @@ let of_events events =
       spans 0.0
   in
   let attribution =
-    List.rev !span_order
-    |> List.map (fun path ->
-           let count, seconds = Hashtbl.find spans path in
-           { path; count; seconds;
-             share = (if root_total > 0.0 then seconds /. root_total else 0.0) })
+    Hashtbl.fold
+      (fun path (count, seconds) acc ->
+        { path; count; seconds;
+          share = (if root_total > 0.0 then seconds /. root_total else 0.0) }
+        :: acc)
+      spans []
     |> List.sort (fun a b -> compare a.path b.path)
   in
-  let cache =
-    List.sort compare
-      (Hashtbl.fold (fun k v l -> (k, v) :: l) cache_counts [])
+  let requests =
+    List.filter (fun (n : Trace_assemble.node) -> n.span.name = "request") nodes
   in
-  let faults =
-    List.filter_map
-      (fun k -> Option.map (fun v -> (k, v)) (Hashtbl.find_opt fault_counts k))
-      fault_kinds
-  in
-  let serve =
-    List.filter_map
-      (fun k -> Option.map (fun v -> (k, v)) (Hashtbl.find_opt serve_counts k))
-      serve_kinds
+  let degraded =
+    List.filter
+      (fun (n : Trace_assemble.node) ->
+        Option.value ~default:0 (attr n.span "degrade_level" Json.int) > 0)
+      requests
   in
   {
     events = !n_events;
     skipped = 0;
     span = (if !n_events = 0 then 0.0 else !t_max -. !t_min);
     jobs = job_rows;
-    latencies;
+    latencies =
+      [
+        quantiles "queue_wait" (collect (fun j -> j.queue_wait));
+        quantiles "job_run" (collect (fun j -> j.run));
+        quantiles "decision_call" call_latencies;
+      ];
     attribution;
-    cache;
-    faults;
-    serve;
+    cache =
+      List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) cache_counts []);
+    faults =
+      List.filter_map
+        (fun k -> Option.map (fun v -> (k, v)) (Hashtbl.find_opt fault_counts k))
+        fault_kinds;
+    serve =
+      List.filter
+        (fun (_, v) -> v > 0)
+        [
+          ("requests", List.length requests);
+          ("degraded", List.length degraded);
+          ("rejected", !rejected);
+        ];
   }
 
 (* Lenient by design: a trace file from a crashed or still-writing
    process routinely ends in a torn line, and operators summarize such
    files mid-incident. Unparseable lines are counted, never fatal. *)
-let of_lines lines =
-  let events = ref [] and bad = ref 0 in
-  List.iter
-    (fun line ->
-      let line = String.trim line in
-      if line <> "" then
-        match Json.parse line with
-        | Ok ev -> events := ev :: !events
-        | Error _ -> incr bad)
-    lines;
-  let t = of_events (List.rev !events) in
-  { t with skipped = !bad }
-
-let load path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
-  | lines -> Ok (of_lines lines)
-  | exception Sys_error msg -> Error msg
+let of_parsed (events, bad) = { (of_events events) with skipped = bad }
+let of_lines lines = of_parsed (Trace_assemble.parse_lines lines)
+let load path = Result.map of_parsed (Trace_assemble.read_files [ path ])
 
 (* ---------------------------------------------------------------- *)
 (* Rendering *)

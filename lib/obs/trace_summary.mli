@@ -4,9 +4,14 @@
     [psdp serve --trace] (schema: {!Psdp_engine.Trace}) into the tables
     behind [psdp trace summarize]: per-job queue wait and run time,
     per-phase latency quantiles (p50/p90/p99 via
-    {!Psdp_prelude.Stats.quantile}), a work-attribution table from the
-    engine's per-job [profile] events (present when the engine runs with
-    a profiler attached), and cache hit/warm/miss counts.
+    {!Psdp_prelude.Stats.quantile}), a work-attribution table over the
+    profiler spans under each job's [exec] span, and cache
+    hit/warm/parent/miss counts.
+
+    Spans are read only through {!Trace_assemble}, the same reader as
+    [psdp trace critical-path] and [psdp slo report]; the point events
+    that have no span ([decision_call], fault-layer kinds,
+    [serve_rejected]) are counted from the raw stream.
 
     The summarizer is schema-tolerant in the same way the engine's other
     consumers are: unknown event kinds are skipped, and lines that fail
@@ -26,14 +31,17 @@ type phase_stat = {
 type job_row = {
   job : string;
   status : string;
-  queue_wait : float;  (** [job_submitted] → [job_started], seconds *)
-  run : float;  (** the job's reported [elapsed] (fallback: stamp delta) *)
+  queue_wait : float;
+      (** the engine's [queue_wait] span beside the job's [exec] span;
+          [nan] when absent *)
+  run : float;  (** the [exec] span's duration (the result's [elapsed]) *)
   calls : int;
   iters : int;
 }
 
 type attribution_row = {
-  path : string;  (** span path, e.g. ["solve/decision_call/iteration"] *)
+  path : string;
+      (** span path below [exec], e.g. ["solve/decision_call/iteration"] *)
   count : int;
   seconds : float;
   share : float;  (** fraction of the summed root-span seconds *)
@@ -43,19 +51,25 @@ type t = {
   events : int;
   skipped : int;  (** unparseable lines, skipped with a warning *)
   span : float;  (** seconds between first and last event stamp *)
-  jobs : job_row list;  (** in first-appearance order *)
+  jobs : job_row list;
+      (** one per job with an [exec] span (the last one wins), in the
+          order the jobs' traces first appear — start order *)
   latencies : phase_stat list;
       (** [queue_wait], [job_run], and [decision_call] (gaps between
-          consecutive decision-call stamps within a job) *)
-  attribution : attribution_row list;  (** empty without [profile] events *)
-  cache : (string * int) list;  (** cache event status → count *)
+          consecutive decision-call stamps within a job, the last one
+          closed by the [exec] span) *)
+  attribution : attribution_row list;
+      (** summed over jobs; empty when no span hangs under [exec] *)
+  cache : (string * int) list;  (** [exec] span [cache] attribute → count *)
   faults : (string * int) list;
       (** fault-layer event counts ([job_fault], [job_retry],
           [job_quarantined], [store_fault], [breaker_open],
           [runner_restarted], [sketch_resample]); empty for clean runs *)
   serve : (string * int) list;
-      (** serve-tier event counts ([serve_admitted], [serve_rejected],
-          [eps_degraded], [serve_completed]); empty for batch traces *)
+      (** ["requests"] ([request] spans — one per admitted serve request,
+          or per client submission), ["degraded"] (those with a positive
+          [degrade_level]) and ["rejected"] ([serve_rejected] events);
+          zero counts are left out, so it is empty for batch traces *)
 }
 
 val of_events : Psdp_prelude.Json.t list -> t

@@ -151,7 +151,11 @@ let on_engine_complete (cell : t option ref) (result : Job.result) =
           | Some ctx ->
               Trace.span (Engine.trace t.eng) ~job:result.Job.id ~ctx
                 ~name:"request" ~dur:latency
-                [ ("served_eps", Json.Num m.p_served_eps) ]
+                [
+                  ("requested_eps", Json.Num m.p_requested_eps);
+                  ("served_eps", Json.Num m.p_served_eps);
+                  ("degrade_level", Json.Num (float_of_int m.p_level));
+                ]
           | None -> ());
           (match t.meters with
           | Some ms ->
@@ -168,13 +172,6 @@ let on_engine_complete (cell : t option ref) (result : Job.result) =
               | None -> ());
               Cache.export_metrics ms.reg (Engine.cache t.eng)
           | None -> ());
-          Trace.emit (Engine.trace t.eng) ~job:result.Job.id
-            ~kind:"serve_completed"
-            [
-              ("latency", Json.Num latency);
-              ("served_eps", Json.Num m.p_served_eps);
-              ("depth", Json.Num (float_of_int depth));
-            ];
           t.on_response
             {
               id = result.Job.id;
@@ -289,16 +286,6 @@ let submit t (spec : Job.spec) =
         Metrics.set ms.s_depth (float_of_int load);
         if level > 0 then Metrics.inc ms.s_degraded
     | None -> ());
-    Trace.emit (Engine.trace t.eng) ~job:id ~kind:"serve_admitted"
-      [ ("depth", Json.Num (float_of_int load)) ];
-    if level > 0 then
-      Trace.emit (Engine.trace t.eng) ~job:id ~kind:"eps_degraded"
-        [
-          ("requested", Json.Num spec.Job.eps);
-          ("served", Json.Num served_eps);
-          ("level", Json.Num (float_of_int level));
-          ("depth", Json.Num (float_of_int load));
-        ];
     let spec' =
       { spec with Job.id; eps = served_eps; timeout;
         trace = (match p_ctx with Some _ -> p_ctx | None -> spec.Job.trace) }

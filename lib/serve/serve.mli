@@ -83,8 +83,10 @@ val create :
     request's admission-to-response latency into the tracker, so burn
     rates track the serving path specifically (sheds never count: a
     rejected request has no latency to misreport). When the engine's
-    trace sink is live, each admitted request also gets a "request" span
-    the engine's spans parent under. *)
+    trace sink is live, each admitted request gets exactly one "request"
+    span — its admission-to-response latency, with [requested_eps],
+    [served_eps] and [degrade_level] — that the engine's spans parent
+    under; a shed request gets a [serve_rejected] point event instead. *)
 
 val engine : t -> Engine.t
 

@@ -16,7 +16,11 @@
    byte offset of the final record, and the failover acceptance test —
    SIGKILL the primary mid-batch, the warm standby promotes under a
    bumped fencing epoch, every job certifies exactly once, and a
-   resurrected deposed primary is rejected by the workers. *)
+   resurrected deposed primary is rejected by the workers.
+
+   Liveness: a Submit that reaches a worker in the same read as its
+   Welcome runs at once, not a heartbeat later, and a worker kept busy
+   past the grace period by a stream of jobs is never declared dead. *)
 
 open Psdp_prelude
 open Psdp_engine
@@ -518,7 +522,7 @@ let test_unique_auto_ids () =
     Engine.with_engine ~max_in_flight:1 (fun eng ->
         let h1 = Engine.submit eng (Job.solve_spec ~eps:0.3 (Job.Inline (tiny_instance 1))) in
         let h2 = Engine.submit eng (Job.solve_spec ~eps:0.3 (Job.Inline (tiny_instance 2))) in
-        ignore (Engine.drain eng);
+        List.iter (fun h -> ignore (Engine.await eng h)) [ h1; h2 ];
         (Engine.job_id h1, Engine.job_id h2))
   in
   let a1, a2 = grab () in
@@ -714,6 +718,132 @@ let test_chaos_reroute () =
                 "some job was assigned twice (rerouted)" true rerouted)))
 
 (* ------------------------------------------------------------------ *)
+(* Worker/coordinator liveness *)
+
+let gen_cycle dir =
+  let inst = Filename.concat dir "c.inst" in
+  Alcotest.(check int)
+    "gen cycle" 0
+    (run_cli [ "gen"; "--family"; "cycle"; "--dim"; "6"; "-o"; inst ]);
+  inst
+
+(* A Submit that reaches the worker in the same read as its Welcome is
+   handled at once, not at the next heartbeat tick. The test plays the
+   coordinator, so both frames go out in one write. *)
+let test_submit_with_welcome () =
+  with_temp_dir (fun dir ->
+      let inst = gen_cycle dir in
+      let sock = Filename.concat dir "fake.sock" in
+      let lfd =
+        match Transport.listen (Transport.Unix_sock sock) with
+        | Ok fd -> fd
+        | Error e -> Alcotest.fail e
+      in
+      let worker = spawn [ "worker"; "--connect"; "unix:" ^ sock; "--name"; "w1" ] in
+      Fun.protect
+        ~finally:(fun () ->
+          kill9 worker;
+          reap_pid worker;
+          Unix.close lfd)
+        (fun () ->
+          (match Unix.select [ lfd ] [] [] 30.0 with
+          | [], _, _ -> Alcotest.fail "worker never connected"
+          | _ -> ());
+          let cfd, _ = Unix.accept lfd in
+          let conn = Transport.of_fd cfd in
+          (match Transport.recv conn with
+          | Proto.Hello _ -> ()
+          | m -> Alcotest.failf "expected a hello, got %s" (Proto.describe m));
+          let heartbeat_every = 6.0 in
+          let frames =
+            Proto.encode
+              (Proto.Welcome { coordinator = "test"; heartbeat_every; epoch = 1 })
+            ^ Proto.encode
+                (Proto.Submit
+                   {
+                     spec = Job.solve_spec ~id:"early" ~eps:0.5 (Job.File inst);
+                     epoch = 1;
+                   })
+          in
+          Alcotest.(check int) "welcome and submit in one write"
+            (String.length frames)
+            (Unix.write_substring cfd frames 0 (String.length frames));
+          let t0 = Unix.gettimeofday () in
+          (match Transport.recv conn with
+          | Proto.Result
+              { result = { Job.outcome = Job.Solved { certified = true; _ }; _ } }
+            ->
+              ()
+          | m ->
+              Alcotest.failf "expected the job's result, got %s"
+                (Proto.describe m));
+          let took = Unix.gettimeofday () -. t0 in
+          if took >= heartbeat_every /. 2.0 then
+            Alcotest.failf "the buffered submit took %.2fs" took;
+          Transport.close conn))
+
+(* A worker kept busy past the grace period never idles long enough to
+   heartbeat; its result frames must keep it alive. *)
+let test_busy_worker_alive () =
+  with_temp_dir (fun dir ->
+      let inst = gen_cycle dir in
+      let sock = Filename.concat dir "c.sock" in
+      let store_dir = Filename.concat dir "store" in
+      let trace = Filename.concat dir "coord.trace" in
+      let procs =
+        ref
+          [
+            spawn
+              [ "coordinator"; "--listen"; "unix:" ^ sock; "--checkpoint-dir";
+                store_dir; "--heartbeat"; "0.25"; "--grace"; "0.75";
+                "--trace"; trace ];
+          ]
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter kill9 !procs;
+          List.iter reap_pid !procs)
+        (fun () ->
+          let client = connect_with_retry [ Transport.Unix_sock sock ] in
+          procs :=
+            spawn
+              [ "worker"; "--connect"; "unix:" ^ sock; "--name"; "w1";
+                "--capacity"; "2" ]
+            :: !procs;
+          (* One in flight: a cold solve, then cached resubmissions for
+             four times the grace period. *)
+          let stop = Unix.gettimeofday () +. 3.0 in
+          let n = ref 0 in
+          while Unix.gettimeofday () < stop do
+            incr n;
+            (match
+               Client.submit client
+                 (Job.solve_spec ~id:(Printf.sprintf "busy-%d" !n) ~eps:0.5
+                    (Job.File inst))
+             with
+            | Ok () -> ()
+            | Error f -> Alcotest.fail (Client.failure_to_string f));
+            match Client.collect ~timeout:60.0 client ~expected:1 with
+            | Ok [ { Job.outcome = Job.Solved { certified = true; _ }; _ } ] -> ()
+            | Ok _ -> Alcotest.fail "expected one certified solve"
+            | Error f -> Alcotest.fail (Client.failure_to_string f)
+          done;
+          Client.shutdown_cluster client;
+          Client.close client);
+      (* Records and events are flushed as they are written; the
+         processes are gone by now. *)
+      let records, _ =
+        Journal.replay (Filename.concat store_dir "journal.jsonl")
+      in
+      let count p = List.length (List.filter p records) in
+      let completed = count (function Journal.Completed _ -> true | _ -> false) in
+      Alcotest.(check bool) "a stream of jobs ran" true (completed > 10);
+      Alcotest.(check int) "every job assigned once: zero reroutes" completed
+        (count (function Journal.Assigned _ -> true | _ -> false));
+      Alcotest.(check bool) "no worker_dead in the coordinator trace" false
+        (wait_for_event ~timeout:0.0 trace "worker_dead"))
+
+(* ------------------------------------------------------------------ *)
 (* Failover acceptance: SIGKILL the primary mid-batch with a warm
    standby tailing its WAL. The standby must take over under a bumped
    fencing epoch, every inflight job must certify exactly once through
@@ -895,8 +1025,14 @@ let () =
       ( "engine-ids",
         [ Alcotest.test_case "globally unique" `Quick test_unique_auto_ids ] );
       ( "chaos",
-        [ Alcotest.test_case "kill worker mid-solve" `Slow test_chaos_reroute ]
-      );
+        [ Alcotest.test_case "kill worker mid-solve" `Slow test_chaos_reroute ] );
+      ( "liveness",
+        [
+          Alcotest.test_case "submit with the welcome" `Slow
+            test_submit_with_welcome;
+          Alcotest.test_case "busy worker stays alive" `Slow
+            test_busy_worker_alive;
+        ] );
       ( "failover",
         [
           Alcotest.test_case "kill primary mid-batch" `Slow

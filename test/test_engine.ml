@@ -418,13 +418,41 @@ let solved r =
         | Job.Timed_out -> "Timed_out"
         | Job.Solved _ -> assert false)
 
+let str k v = Option.bind (Json.mem k v) Json.str
+
 let count_events events ~kind ~job =
   List.length
-    (List.filter
-       (fun e ->
-         kind_of e = Some kind
-         && Option.bind (Json.mem "job" e) Json.str = Some job)
-       events)
+    (List.filter (fun e -> kind_of e = Some kind && str "job" e = Some job) events)
+
+let spans_named events name ~job =
+  List.filter
+    (fun e ->
+      kind_of e = Some "span" && str "name" e = Some name
+      && str "job" e = Some job)
+    events
+
+(* Every settled job closes with exactly one exec span carrying its
+   status; solves carry their counters too. *)
+let check_exec_spans events (results : Job.result list) =
+  List.iter
+    (fun (r : Job.result) ->
+      match spans_named events "exec" ~job:r.Job.id with
+      | [ e ] -> (
+          Alcotest.(check (option string))
+            (r.Job.id ^ " exec status")
+            (Some (Job.status_string r.Job.outcome))
+            (str "status" e);
+          match r.Job.outcome with
+          | Job.Solved { decision_calls; _ } ->
+              Alcotest.(check (option (float 0.0)))
+                (r.Job.id ^ " exec calls")
+                (Some (float_of_int decision_calls))
+                (field "calls" e)
+          | _ -> ())
+      | l ->
+          Alcotest.failf "%s: expected one exec span, got %d" r.Job.id
+            (List.length l))
+    results
 
 (* The acceptance scenario: a 20-job mixed batch through one engine —
    repeats answered from cache with identical numbers, ε-refinements
@@ -468,12 +496,8 @@ let test_engine_mixed_batch () =
   in
   Alcotest.(check int) "twenty jobs" 20 (List.length specs);
   let handles = List.map (Engine.submit eng) specs in
-  ignore handles;
-  let results = Engine.drain eng in
+  let results = List.map (Engine.await eng) handles in
   Engine.shutdown eng;
-  Alcotest.(check (list string)) "drain keeps submission order"
-    (List.map (fun (s : Job.spec) -> s.Job.id) specs)
-    (List.map (fun r -> r.Job.id) results);
   let find id = List.find (fun r -> r.Job.id = id) results in
   (* Cache hits: identical numbers, no solver work. *)
   List.iter
@@ -522,20 +546,18 @@ let test_engine_mixed_batch () =
   (match (find "missing").Job.outcome with
   | Job.Failed _ -> ()
   | _ -> Alcotest.fail "missing file: expected Failed");
-  (* Telemetry: lifecycle events per job, counters consistent, stamps
-     monotone, engine lifecycle bracketed. *)
+  (* Telemetry: one queue wait and one exec span per job, counters
+     consistent, stamps monotone, engine lifecycle bracketed. *)
   let events = Trace.events trace in
   assert_monotone events;
+  check_exec_spans events results;
   List.iter
     (fun (spec : Job.spec) ->
       let id = spec.Job.id in
-      List.iter
-        (fun kind ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s has one %s" id kind)
-            1
-            (count_events events ~kind ~job:id))
-        [ "job_submitted"; "job_started"; "job_finished" ];
+      Alcotest.(check int)
+        (id ^ " has one queue_wait span")
+        1
+        (List.length (spans_named events "queue_wait" ~job:id));
       match (find id).Job.outcome with
       | Job.Solved { decision_calls; _ } ->
           Alcotest.(check int)
@@ -548,7 +570,49 @@ let test_engine_mixed_batch () =
     (fun kind ->
       Alcotest.(check int) ("one " ^ kind) 1
         (List.length (List.filter (fun e -> kind_of e = Some kind) events)))
-    [ "engine_started"; "engine_stopped" ]
+    [ "engine_started"; "engine_stopped" ];
+  (* [psdp trace summarize] reads the same stream through the span
+     assembler: one row per job, in start order (here, with one FIFO
+     runner, submission order), with the result's status and counters,
+     and the profiler spans (no --metrics needed) as attribution paths
+     under exec. *)
+  let summary = Psdp_obs.Trace_summary.of_events events in
+  Alcotest.(check (list string))
+    "summary rows in start order"
+    (List.map (fun (s : Job.spec) -> s.Job.id) specs)
+    (List.map
+       (fun (j : Psdp_obs.Trace_summary.job_row) -> j.job)
+       summary.Psdp_obs.Trace_summary.jobs);
+  List.iter
+    (fun (j : Psdp_obs.Trace_summary.job_row) ->
+      let r = find j.job in
+      Alcotest.(check string) (j.job ^ " summary status")
+        (Job.status_string r.Job.outcome) j.status;
+      Alcotest.(check (float 0.0)) (j.job ^ " summary run") r.Job.elapsed j.run;
+      match r.Job.outcome with
+      | Job.Solved s ->
+          Alcotest.(check int) (j.job ^ " summary calls") s.decision_calls j.calls;
+          Alcotest.(check int) (j.job ^ " summary iters") s.iterations j.iters
+      | _ -> ())
+    summary.Psdp_obs.Trace_summary.jobs;
+  Alcotest.(check bool) "attribution reaches the iterations" true
+    (List.exists
+       (fun (a : Psdp_obs.Trace_summary.attribution_row) ->
+         a.path = "solve/decision_call/iteration")
+       summary.Psdp_obs.Trace_summary.attribution);
+  let tally status =
+    List.length
+      (List.filter
+         (fun (r : Job.result) ->
+           match r.Job.outcome with
+           | Job.Solved s -> Job.cache_status_string s.cache = status
+           | _ -> false)
+         results)
+  in
+  Alcotest.(check (list (pair string int)))
+    "cache tally matches the results"
+    [ ("hit", tally "hit"); ("miss", tally "miss"); ("warm", tally "warm") ]
+    summary.Psdp_obs.Trace_summary.cache
 
 (* The cache's point, measured end to end: refining ε through the engine
    must cost fewer decision calls than the same fine solve from cold. *)
@@ -587,7 +651,6 @@ let test_engine_priority_order () =
       solve ~id:"low2" ~eps:0.5 ~priority:0 (diag ());
     ];
   Engine.resume eng;
-  let _ = Engine.drain eng in
   Engine.shutdown eng;
   Alcotest.(check (list string)) "priority, then FIFO"
     [ "high"; "low1"; "low2" ]
@@ -658,6 +721,135 @@ let test_engine_auto_ids () =
         && String.sub (Engine.job_id h1) 0 4 = "job-"))
 
 (* ------------------------------------------------------------------ *)
+(* One span stream: each duration is a span, never also a point event *)
+
+(* Event kinds that only repeated a span's start, end or payload. *)
+let retired_kinds =
+  [
+    "job_submitted"; "job_started"; "job_finished"; "profile"; "iter_batch";
+    "cache"; "cert_verified"; "serve_admitted"; "serve_completed";
+    "eps_degraded"; "job_accepted"; "job_assigned"; "job_completed";
+    "job_rerouted";
+  ]
+
+(* A traced serve run (with degradation and a shed), a batch with one
+   job cancelled before it ran, and a runner crash: the sink sees only
+   spans and the point kinds trace.mli lists, every settled job closes
+   with one exec span, every admitted request with one request span. *)
+let test_span_stream () =
+  let module Serve = Psdp_serve.Serve in
+  let module Failpoint = Psdp_fault.Failpoint in
+  let serve_trace = Trace.memory () in
+  let responses = ref [] and mu = Mutex.create () in
+  let serve =
+    Serve.create
+      {
+        Serve.queue_cap = 3;
+        default_deadline = None;
+        degrade =
+          Result.get_ok (Psdp_fault.Degrade.make ~cap:0.5 [ (2, 2.0) ]);
+      }
+      ~make_engine:(fun ~on_complete ->
+        Engine.create ~pool:Psdp_parallel.Pool.sequential ~max_in_flight:1
+          ~paused:true ~trace:serve_trace ~on_complete ())
+      ~on_response:(fun r ->
+        Mutex.lock mu;
+        responses := r :: !responses;
+        Mutex.unlock mu)
+      ()
+  in
+  List.iter
+    (fun id -> Serve.submit serve (solve ~id ~eps:0.2 (diag ())))
+    [ "r1"; "r2"; "r3"; "r4" ];
+  Engine.resume (Serve.engine serve);
+  Serve.shutdown serve;
+  let serve_events = Trace.events serve_trace in
+  let admitted =
+    List.filter_map
+      (fun (r : Serve.response) ->
+        match r.Serve.outcome with
+        | Serve.Done result -> Some (r, result)
+        | Serve.Rejected _ -> None)
+      !responses
+  in
+  Alcotest.(check int) "three admitted, one shed" 3 (List.length admitted);
+  check_exec_spans serve_events (List.map snd admitted);
+  List.iter
+    (fun ((r : Serve.response), _) ->
+      match spans_named serve_events "request" ~job:r.Serve.id with
+      | [ e ] ->
+          Alcotest.(check (option (float 0.0)))
+            (r.Serve.id ^ " request span is the latency")
+            (Some r.Serve.latency) (field "dur" e);
+          Alcotest.(check (option (float 0.0)))
+            (r.Serve.id ^ " served eps") (Some r.Serve.served_eps)
+            (field "served_eps" e);
+          Alcotest.(check (option (float 0.0)))
+            (r.Serve.id ^ " degrade level")
+            (Some (float_of_int r.Serve.degrade_level))
+            (field "degrade_level" e)
+      | l ->
+          Alcotest.failf "%s: expected one request span, got %d" r.Serve.id
+            (List.length l))
+    admitted;
+  (* [psdp slo report] samples exactly those latencies. *)
+  let report =
+    Psdp_obs.Slo.report_of_events
+      (Psdp_obs.Slo.make_target ~objective:0.9 ~latency:60.0)
+      serve_events
+  in
+  Alcotest.(check int) "slo samples = admitted requests" 3
+    report.Psdp_obs.Slo.r_requests;
+  Alcotest.(check (float 0.0)) "slo p50 = median response latency"
+    (Stats.quantile
+       (Array.of_list
+          (List.map (fun ((r : Serve.response), _) -> r.Serve.latency) admitted))
+       0.5)
+    report.Psdp_obs.Slo.r_p50;
+  (* A batch with one job cancelled before it ran. *)
+  let batch_trace = Trace.memory () in
+  let eng =
+    Engine.create ~pool:Psdp_parallel.Pool.sequential ~max_in_flight:1
+      ~paused:true ~trace:batch_trace ()
+  in
+  let keep = Engine.submit eng (solve ~id:"keep" ~eps:0.5 (diag ())) in
+  let doomed = Engine.submit eng (solve ~id:"doomed" ~eps:0.5 (proj ())) in
+  ignore (Engine.cancel eng doomed);
+  Engine.resume eng;
+  let batch_results = List.map (Engine.await eng) [ keep; doomed ] in
+  Engine.shutdown eng;
+  Alcotest.(check bool) "doomed cancelled" true
+    ((List.nth batch_results 1).Job.outcome = Job.Cancelled);
+  check_exec_spans (Trace.events batch_trace) batch_results;
+  (* A runner crash. *)
+  let crash_trace = Trace.memory () in
+  let crashed =
+    Fun.protect ~finally:Failpoint.reset (fun () ->
+        Failpoint.arm "engine.job_attempt" (Failpoint.Crash "runner death");
+        Engine.with_engine ~pool:Psdp_parallel.Pool.sequential
+          ~max_in_flight:1 ~trace:crash_trace (fun eng ->
+            Engine.await eng
+              (Engine.submit eng (solve ~id:"crasher" ~eps:0.5 (diag ())))))
+  in
+  Alcotest.(check string) "crash settles as failed" "failed"
+    (Job.status_string crashed.Job.outcome);
+  check_exec_spans (Trace.events crash_trace) [ crashed ];
+  let kinds =
+    List.sort_uniq compare
+      (List.filter_map kind_of
+         (serve_events @ Trace.events batch_trace @ Trace.events crash_trace))
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (k ^ " is a span or a documented point kind")
+        true
+        (k = "span" || List.mem k Trace.point_kinds);
+      Alcotest.(check bool) (k ^ " is not retired") false
+        (List.mem k retired_kinds))
+    kinds
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -713,5 +905,6 @@ let () =
           Alcotest.test_case "submit after shutdown" `Quick
             test_engine_submit_after_shutdown;
           Alcotest.test_case "auto ids" `Quick test_engine_auto_ids;
+          Alcotest.test_case "one span stream" `Quick test_span_stream;
         ] );
     ]

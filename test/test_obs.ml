@@ -246,34 +246,38 @@ let test_trace_summary_of_events () =
       @ (match job with Some j -> [ ("job", Json.Str j) ] | None -> [])
       @ fields)
   in
+  (* One job the way the engine traces it: a minted root with the
+     queue wait and the exec span under it, the profiler rows under
+     exec, decision calls as point events. *)
+  let root = Trace_context.mint () in
+  let wait = Trace_context.child root and exec = Trace_context.child root in
+  let solve = Trace_context.child exec in
+  let call = Trace_context.child solve in
+  let span t ctx name dur fields =
+    ev ~job:"j1" t "span"
+      ([
+         ("name", Json.Str name);
+         ("ctx", Json.Str (Trace_context.to_string ctx));
+         ("dur", Json.Num dur);
+       ]
+      @ fields)
+  in
   let events =
     [
       ev 0.0 "engine_started" [];
-      ev ~job:"j1" 0.1 "job_submitted" [];
-      ev ~job:"j1" 0.2 "cache" [ ("status", Json.Str "miss") ];
-      ev ~job:"j1" 0.6 "job_started" [];
+      span 0.6 wait "queue_wait" 0.5 [];
       ev ~job:"j1" 0.7 "decision_call" [ ("call", Json.Num 1.0) ];
       ev ~job:"j1" 1.2 "decision_call" [ ("call", Json.Num 2.0) ];
-      ev ~job:"j1" 1.5 "profile"
-        [
-          ( "spans",
-            Json.Obj
-              [
-                ( "solve",
-                  Json.Obj
-                    [ ("count", Json.Num 1.0); ("total", Json.Num 0.8) ] );
-                ( "solve/decision_call",
-                  Json.Obj
-                    [ ("count", Json.Num 2.0); ("total", Json.Num 0.6) ] );
-              ] );
-        ];
-      ev ~job:"j1" 1.6 "job_finished"
+      span 1.5 solve "solve" 0.8 [ ("count", Json.Num 1.0) ];
+      span 1.5 call "decision_call" 0.6 [ ("count", Json.Num 2.0) ];
+      span 1.6 exec "exec" 1.0
         [
           ("status", Json.Str "ok");
-          ("elapsed", Json.Num 1.0);
           ("calls", Json.Num 2.0);
           ("iters", Json.Num 40.0);
+          ("cache", Json.Str "miss");
         ];
+      span 1.6 root "job" 1.5 [ ("status", Json.Str "ok") ];
       ev 1.7 "engine_stopped" [];
     ]
   in
@@ -297,7 +301,7 @@ let test_trace_summary_of_events () =
   Alcotest.(check int)
     "one queue-wait sample" 1
     (phase "queue_wait").Trace_summary.samples;
-  (* Two decision-call gaps: 0.7→1.2 and 1.2→(finish) 1.6. *)
+  (* Two decision-call gaps: 0.7→1.2 and 1.2→(exec span) 1.6. *)
   Alcotest.(check int)
     "decision-call samples" 2
     (phase "decision_call").Trace_summary.samples;
@@ -358,7 +362,7 @@ let test_trace_summary_lenient () =
   let s =
     Trace_summary.of_lines
       [
-        {|{"t":0.0,"kind":"cache","status":"miss"}|};
+        {|{"t":0.0,"kind":"engine_started","pool_size":1}|};
         "{oops";
         "";
         "   ";
@@ -382,31 +386,31 @@ let test_trace_summary_lenient () =
 (* ------------------------------------------------------------------ *)
 (* Trace schema: one event of every documented kind round-trips *)
 
-(* One representative emission per kind documented in trace.mli. *)
+(* One representative emission per shape documented in trace.mli: the
+   engine's spans and a sample of the point kinds. *)
 let documented_events =
+  let span name fields =
+    ( Some "j1",
+      "span",
+      [
+        ("name", Json.Str name);
+        ("ctx", Json.Str (Trace_context.to_string (Trace_context.mint ())));
+        ("dur", Json.Num 0.2);
+      ]
+      @ fields )
+  in
   [
-    (Some "j1", "job_submitted",
-     [ ("op", Json.Str "solve"); ("eps", Json.Num 0.1);
-       ("priority", Json.Num 0.0) ]);
-    (Some "j1", "job_started", []);
+    (None, "engine_started", [ ("pool_size", Json.Num 2.0) ]);
+    span "queue_wait" [];
     (Some "j1", "decision_call",
      [ ("call", Json.Num 1.0); ("threshold", Json.Num 0.5) ]);
-    (Some "j1", "iter_batch",
-     [ ("iters", Json.Num 32.0); ("l1", Json.Num 0.7);
-       ("trace_w", Json.Num 3.0) ]);
-    (Some "j1", "cache",
-     [ ("status", Json.Str "miss"); ("digest", Json.Str "abc") ]);
-    (Some "j1", "cert_verified",
-     [ ("lambda_max", Json.Num 0.99); ("feasible", Json.Bool true) ]);
-    (Some "j1", "profile",
-     [ ("spans",
-        Json.Obj
-          [ ("solve",
-             Json.Obj [ ("count", Json.Num 1.0); ("total", Json.Num 0.2) ]) ])
-     ]);
-    (Some "j1", "job_finished",
-     [ ("status", Json.Str "ok"); ("elapsed", Json.Num 0.2) ]);
-    (None, "engine_started", [ ("pool_size", Json.Num 2.0) ]);
+    span "solve" [ ("count", Json.Num 1.0) ];
+    span "exec"
+      [ ("status", Json.Str "ok"); ("calls", Json.Num 1.0);
+        ("cache", Json.Str "miss"); ("certified", Json.Bool true) ];
+    span "request"
+      [ ("requested_eps", Json.Num 0.1); ("served_eps", Json.Num 0.2);
+        ("degrade_level", Json.Num 1.0) ];
     (None, "engine_stopped", [ ("jobs", Json.Num 1.0) ]);
     (Some "j1", "checkpoint", [ ("call", Json.Num 3.0) ]);
     (None, "recovery_started", [ ("pending", Json.Num 1.0) ]);
@@ -415,6 +419,7 @@ let documented_events =
     (Some "j1", "snapshot_rejected", [ ("reason", Json.Str "checksum") ]);
     (Some "j1", "recovery_skipped", [ ("error", Json.Str "bad spec") ]);
     (None, "journal_torn", [ ("error", Json.Str "truncated") ]);
+    (Some "j1", "serve_rejected", [ ("reason", Json.Str "queue_full") ]);
   ]
 
 let check_schema events =
@@ -724,8 +729,11 @@ let test_assemble_orphan_and_torn () =
   let a =
     Trace_assemble.of_lines
       [
-        Json.to_string (span_ev ~t:1.0 ~role:"worker" ~pid:9 lost_parent "exec" 0.5);
-        {|{"t":2.0,"kind":"job_finished","job":"j1"}|};
+        (match span_ev ~t:1.0 ~role:"worker" ~pid:9 lost_parent "exec" 0.5 with
+        | Json.Obj fields ->
+            Json.to_string (Json.Obj (fields @ [ ("status", Json.Str "ok") ]))
+        | _ -> assert false);
+        {|{"t":2.0,"kind":"decision_call","job":"j1"}|};
         "{torn";
       ]
   in
@@ -735,7 +743,12 @@ let test_assemble_orphan_and_torn () =
   | [ tree ] ->
       Alcotest.(check int) "orphan stays visible" 1 tree.Trace_assemble.orphans;
       Alcotest.(check int) "orphan becomes a root" 1
-        (List.length tree.Trace_assemble.roots)
+        (List.length tree.Trace_assemble.roots);
+      Alcotest.(check bool)
+        "the payload past the envelope is kept" true
+        ((List.hd tree.Trace_assemble.roots).Trace_assemble.span
+           .Trace_assemble.attrs
+        = [ ("status", Json.Str "ok") ])
   | l -> Alcotest.failf "expected 1 tree, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
@@ -796,18 +809,23 @@ let test_slo_exports_metrics () =
     (contains_substring txt {|psdp_slo_burn_rate{window="5m"}|})
 
 let test_slo_report_of_events () =
-  let ev t latency =
+  let span ?(name = "request") t dur =
     Json.Obj
       [
         ("t", Json.Num t);
-        ("kind", Json.Str "serve_completed");
+        ("kind", Json.Str "span");
         ("job", Json.Str "j");
-        ("latency", Json.Num latency);
+        ("name", Json.Str name);
+        ("ctx", Json.Str (Trace_context.to_string (Trace_context.mint ())));
+        ("dur", Json.Num dur);
       ]
   in
   let tgt = Slo.make_target ~objective:0.75 ~latency:1.0 in
+  (* Request spans are the samples; the exec span is not. *)
   let r =
-    Slo.report_of_events tgt [ ev 1.0 0.1; ev 2.0 0.2; ev 3.0 0.3; ev 4.0 2.0 ]
+    Slo.report_of_events tgt
+      [ span 1.0 0.1; span 2.0 0.2; span 3.0 0.3; span 4.0 2.0;
+        span ~name:"exec" 4.5 9.0 ]
   in
   Alcotest.(check int) "requests" 4 r.Slo.r_requests;
   Alcotest.(check int) "breaches" 1 r.Slo.r_breaches;
@@ -816,6 +834,13 @@ let test_slo_report_of_events () =
   Alcotest.(check (float 1e-9)) "budget consumed" 1.0 r.Slo.r_budget_consumed;
   Alcotest.(check bool) "p99 covers the slow tail" true (r.Slo.r_p99 > 0.3);
   ignore (Format.asprintf "%a" Slo.pp_report r);
+  (* A batch or worker stream has no request spans: its exec spans are
+     the samples. *)
+  let batch =
+    Slo.report_of_events tgt [ span ~name:"exec" 1.0 0.5; span ~name:"exec" 2.0 1.5 ]
+  in
+  Alcotest.(check int) "exec fallback: requests" 2 batch.Slo.r_requests;
+  Alcotest.(check int) "exec fallback: breaches" 1 batch.Slo.r_breaches;
   (* Empty traces still report (the CLI prints zeros, exits 0). *)
   let empty = Slo.report_of_events tgt [] in
   Alcotest.(check int) "empty: no requests" 0 empty.Slo.r_requests;
