@@ -35,34 +35,3 @@ let mean_of repeats f =
     Stats.add s (f ())
   done;
   Stats.mean s
-
-(* Persistent perf trajectories: each BENCH_*.json is append-only JSONL,
-   one record per run, stamped with the wall clock and (when the bench
-   runs inside a checkout) the git revision — so the perf history stays
-   diffable across PRs instead of each run clobbering the last. *)
-
-let git_rev () =
-  try
-    let ic =
-      Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null"
-    in
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> Some line
-    | _ -> None
-  with _ -> None
-
-let bench_append ~file fields =
-  let meta =
-    ("timestamp", Json.Num (Unix.gettimeofday ()))
-    ::
-    (match git_rev () with
-    | Some rev -> [ ("rev", Json.Str rev) ]
-    | None -> [])
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (Json.Obj (fields @ meta)));
-      output_char oc '\n')

@@ -10,11 +10,10 @@
 
    Honesty matters more than the headline: distributing across N
    processes can only pay when the machine has cores to back them, so
-   the available core count is printed and recorded next to every
-   speedup. On a 1-core container the expected result is ~1× (plus
-   protocol overhead); the ≥3×-at-4-workers claim is reproducible on a
-   ≥4-core machine. Each run's numbers land in `BENCH_dist.json` so the
-   perf trajectory is diffable across PRs. *)
+   the available core count is printed next to every speedup. On a
+   1-core container the expected result is ~1× (plus protocol
+   overhead); the ≥3×-at-4-workers claim is reproducible on a ≥4-core
+   machine. *)
 
 open Psdp_prelude
 open Psdp_instances
@@ -162,24 +161,4 @@ let run ~quick () =
         (fun (w, t, thr) ->
           Printf.printf "%-10d %12.2f %12.2f %9.2fx\n" w t thr (t1 /. t))
         runs;
-      Bench_util.bench_append ~file:"BENCH_dist.json"
-        [
-          ("experiment", Json.Str "exp15");
-          ("mode", Json.Str (if quick then "quick" else "full"));
-          ("cores", Json.Num (float_of_int cores));
-          ("jobs", Json.Num (float_of_int njobs));
-          ( "runs",
-            Json.List
-              (List.map
-                 (fun (w, t, thr) ->
-                   Json.Obj
-                     [
-                       ("workers", Json.Num (float_of_int w));
-                       ("elapsed_s", Json.Num t);
-                       ("jobs_per_s", Json.Num thr);
-                       ("speedup_vs_1", Json.Num (t1 /. t));
-                     ])
-                 runs) );
-        ];
-      Printf.printf "appended BENCH_dist.json\n";
       runs)

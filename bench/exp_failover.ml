@@ -14,10 +14,7 @@
    grace (the standby must outwait a heartbeat gap before declaring the
    primary dead), so the knob that matters is printed next to the
    number. Second, jobs completed-but-unreported at kill time are
-   answered from the replicated journal, not re-run — the bench also
-   reports how many jobs the failover forced to re-execute. Numbers
-   land in `BENCH_dist.json` (guarded by bench_guard, direction=down on
-   downtime). *)
+   answered from the replicated journal, not re-run. *)
 
 open Psdp_prelude
 open Psdp_instances
@@ -106,7 +103,8 @@ let run ~quick () =
         (fun () ->
           let client =
             match
-              Client.connect [ Transport.Unix_sock sock_a ]
+              Client.connect
+                [ Transport.Unix_sock sock_a; Transport.Unix_sock sock_b ]
             with
             | Ok c -> c
             | Error f ->
@@ -166,15 +164,4 @@ let run ~quick () =
              downtime (SIGKILL -> first post-failover result): %.2fs\n\
              total batch time across the failover: %.2fs\n"
             njobs heartbeat grace downtime total;
-          Bench_util.bench_append ~file:"BENCH_dist.json"
-            [
-              ("experiment", Json.Str "exp17");
-              ("mode", Json.Str (if quick then "quick" else "full"));
-              ("jobs", Json.Num (float_of_int njobs));
-              ("heartbeat_s", Json.Num heartbeat);
-              ("grace_s", Json.Num grace);
-              ("downtime_s", Json.Num downtime);
-              ("total_s", Json.Num total);
-            ];
-          Printf.printf "appended BENCH_dist.json\n";
           downtime))

@@ -22,8 +22,6 @@ module Trace_assemble = Psdp_obs.Trace_assemble
 module Slo = Psdp_obs.Slo
 module Degrade = Psdp_fault.Degrade
 module Serve = Psdp_serve.Serve
-module Arrival = Psdp_serve.Arrival
-module Serve_bench = Psdp_serve.Bench
 
 (* ------------------------------------------------------------------ *)
 (* Exit codes (documented in every command's man page): batch drivers
@@ -512,33 +510,6 @@ let print_result oc r =
   output_string oc (Json.to_string (Job.result_to_json r));
   output_char oc '\n'
 
-(* Append-only perf trajectory record (same JSONL shape as the bench
-   harness writes): one line per run, stamped with wall clock and — when
-   running inside a checkout — the git revision. *)
-let bench_append ~file fields =
-  let git_rev () =
-    try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try String.trim (input_line ic) with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> Some line
-      | _ -> None
-    with _ -> None
-  in
-  let meta =
-    ("timestamp", Json.Num (Unix.gettimeofday ()))
-    ::
-    (match git_rev () with
-    | Some rev -> [ ("rev", Json.Str rev) ]
-    | None -> [])
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (Json.Obj (fields @ meta)));
-      output_char oc '\n')
-
 let batch_cmd =
   let manifest_arg =
     let doc =
@@ -631,7 +602,7 @@ let batch_cmd =
       $ checkpoint_every_arg $ retries_arg $ backoff_arg
       $ quarantine_after_arg $ failpoint_arg $ out_arg $ verbose_arg)
 
-(* Serve-tier policy arguments, shared by [serve] and [serve-bench]. *)
+(* Serve-tier policy arguments. *)
 
 let queue_cap_arg =
   let doc =
@@ -794,151 +765,6 @@ let serve_cmd =
       $ metrics_file_arg $ metrics_every_arg $ checkpoint_dir_arg
       $ checkpoint_every_arg $ retries_arg $ backoff_arg
       $ quarantine_after_arg $ failpoint_arg $ verbose_arg)
-
-(* ------------------------------------------------------------------ *)
-(* serve-bench: open-loop latency/shed/warm-start benchmark *)
-
-let serve_bench_cmd =
-  let arrival_conv =
-    let parse s =
-      match Arrival.parse s with Ok p -> Ok p | Error m -> Error (`Msg m)
-    in
-    let print ppf p = Format.pp_print_string ppf (Arrival.to_string p) in
-    Arg.conv ~docv:"PROCESS" (parse, print)
-  in
-  let arrival_arg =
-    let doc =
-      "Open-loop arrival process: $(b,poisson:RATE) or \
-       $(b,burst:RATE:PEAK:PERIOD:DUTY) (req/s; burst alternates between \
-       RATE and PEAK, spending DUTY of each PERIOD at PEAK)."
-    in
-    Arg.(
-      value
-      & opt arrival_conv Serve_bench.default_config.Serve_bench.process
-      & info [ "arrival" ] ~docv:"PROCESS" ~doc)
-  in
-  let duration_arg =
-    let doc = "Generator horizon in seconds." in
-    Arg.(
-      value
-      & opt float Serve_bench.default_config.Serve_bench.duration
-      & info [ "duration" ] ~docv:"SECONDS" ~doc)
-  in
-  let dim_arg =
-    let doc = "Parent instance dimension." in
-    Arg.(
-      value
-      & opt int Serve_bench.default_config.Serve_bench.dim
-      & info [ "dim" ] ~docv:"DIM" ~doc)
-  in
-  let n_arg =
-    let doc = "Parent instance constraint count." in
-    Arg.(
-      value
-      & opt int Serve_bench.default_config.Serve_bench.n
-      & info [ "n" ] ~docv:"N" ~doc)
-  in
-  let drift_arg =
-    let doc = "Per-arrival drift magnitude (log-normal scale sigma)." in
-    Arg.(
-      value
-      & opt float Serve_bench.default_config.Serve_bench.drift
-      & info [ "drift" ] ~docv:"MAG" ~doc)
-  in
-  let out_arg =
-    let doc =
-      "Append the report as one JSON line (with git rev and timestamp) to \
-       $(docv); use $(b,-) to skip."
-    in
-    Arg.(
-      value
-      & opt string "BENCH_serve.json"
-      & info [ "output" ] ~docv:"FILE" ~doc)
-  in
-  let max_shed_arg =
-    let doc =
-      "Fail (exit 1) when the shed rate exceeds $(docv) — a CI guardrail \
-       against an accidentally overloaded configuration."
-    in
-    Arg.(
-      value & opt float 1.0 & info [ "max-shed-rate" ] ~docv:"RATE" ~doc)
-  in
-  let run arrival duration seed eps dim n drift queue_cap deadline degrade
-      domains out max_shed verbosity =
-    setup_logs verbosity;
-    let cfg =
-      {
-        Serve_bench.process = arrival;
-        duration;
-        seed;
-        eps;
-        dim;
-        n;
-        drift;
-        queue_cap;
-        deadline;
-        degrade;
-        domains;
-      }
-    in
-    let report = Serve_bench.run cfg in
-    Format.printf "%a@." Serve_bench.pp_report report;
-    (if out <> "-" then
-       match Serve_bench.report_to_json report with
-       | Json.Obj fields ->
-           let fields =
-             ("arrival", Json.Str (Arrival.to_string arrival))
-             :: ("eps", Json.Num eps)
-             :: ("dim", Json.Num (float_of_int dim))
-             :: fields
-           in
-           bench_append ~file:out fields;
-           Printf.printf "appended %s\n" out
-       | _ -> ());
-    if report.Serve_bench.uncertified > 0 then begin
-      Printf.eprintf "serve-bench: %d uncertified solves served\n"
-        report.Serve_bench.uncertified;
-      exit exit_infeasible
-    end;
-    if report.Serve_bench.shed_rate > max_shed then begin
-      Printf.eprintf "serve-bench: shed rate %.3f exceeds --max-shed-rate %.3f\n"
-        report.Serve_bench.shed_rate max_shed;
-      exit exit_infeasible
-    end
-  in
-  let seed_bench_arg =
-    let doc = "Workload seed (instance family and arrival schedule)." in
-    Arg.(
-      value
-      & opt int Serve_bench.default_config.Serve_bench.seed
-      & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let eps_bench_arg =
-    let doc = "Requested accuracy for every arrival (pre-degradation)." in
-    Arg.(
-      value
-      & opt float Serve_bench.default_config.Serve_bench.eps
-      & info [ "eps" ] ~docv:"EPS" ~doc)
-  in
-  let domains_bench_arg =
-    let doc = "Engine runner domains." in
-    Arg.(
-      value
-      & opt int Serve_bench.default_config.Serve_bench.domains
-      & info [ "domains" ] ~docv:"D" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "serve-bench" ~exits:solver_exits
-       ~doc:
-         "Drive an open-loop drifting-instance workload against the serve \
-          tier and report latency percentiles, shed rate, warm-start hit \
-          rate and the served-epsilon histogram. Appends one JSON line per \
-          run to the trajectory file.")
-    Term.(
-      const run $ arrival_arg $ duration_arg $ seed_bench_arg $ eps_bench_arg
-      $ dim_arg $ n_arg $ drift_arg $ queue_cap_arg $ deadline_arg
-      $ degrade_arg $ domains_bench_arg $ out_arg $ max_shed_arg
-      $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* resume: crash recovery from a checkpoint store *)
@@ -1739,7 +1565,7 @@ let main =
     (Cmd.info "psdp" ~version:"1.0.0" ~doc)
     [
       gen_cmd; info_cmd; solve_cmd; cover_cmd; decide_cmd; batch_cmd;
-      serve_cmd; serve_bench_cmd; resume_cmd; trace_group_cmd; slo_group_cmd;
+      serve_cmd; resume_cmd; trace_group_cmd; slo_group_cmd;
       fuzz_cmd; coordinator_cmd;
       worker_cmd; submit_cmd;
     ]

@@ -126,7 +126,6 @@ type jstate = {
   j_spec : Job.spec;
   mutable j_worker : string option;
   mutable j_client : int option;  (* peer id to return the result to *)
-  mutable j_done : bool;
   (* Tracing state. [j_ctx] is the span the coordinator parents its own
      spans under — the client's request span when the spec carried one,
      else a root minted here (the [bool] records that we own it and must
@@ -147,7 +146,7 @@ type t = {
   trace : Trace.sink;
   conns : (int, peer) Hashtbl.t;
   workers : (string, wstate) Hashtbl.t;
-  jobs : (string, jstate) Hashtbl.t;
+  jobs : (string, jstate) Hashtbl.t;  (* queued or running *)
   queue : string Queue.t;
   digests : (string, string) Hashtbl.t;  (* instance path -> shard key *)
   done_results : (string, Json.t) Hashtbl.t;
@@ -266,7 +265,7 @@ let rec dispatch t =
       let id = Queue.peek t.queue in
       match Hashtbl.find_opt t.jobs id with
       | None -> `Drop
-      | Some j when j.j_done || j.j_worker <> None -> `Drop
+      | Some j when j.j_worker <> None -> `Drop
       | Some j -> (
           match rendezvous t (shard_key t j.j_spec) with
           | None -> `Stall  (* every live worker is at capacity *)
@@ -337,7 +336,7 @@ and worker_dead t w ~reason =
   Hashtbl.iter
     (fun id () ->
       match Hashtbl.find_opt t.jobs id with
-      | Some j when not j.j_done ->
+      | Some j ->
           (* Close the dead attempt's assignment span and restart the
              wait clock: the gap until the next dispatch shows up in the
              trace as an explicit "reroute_wait" segment. *)
@@ -356,7 +355,7 @@ and worker_dead t w ~reason =
           j.j_worker <- None;
           Queue.push id t.queue;
           incr rerouted
-      | _ -> ())
+      | None -> ())
     w.w_jobs;
   (match t.meters with
   | Some m -> Metrics.add m.m_reroutes !rerouted
@@ -393,20 +392,6 @@ let accept_job t peer (spec : Job.spec) =
   else begin
     if peer.role = Pending then peer.role <- Client_role;
     match Hashtbl.find_opt t.jobs spec.Job.id with
-    | Some j when j.j_done -> (
-        (* Idempotent resubmission of a finished job: replay the stored
-           result instead of re-running — the client paid once. *)
-        match Hashtbl.find_opt t.done_results spec.Job.id with
-        | Some json -> send_stored_result t peer ~id:spec.Job.id json
-        | None ->
-            ignore
-              (safe_send peer
-                 (Proto.Error_msg
-                    {
-                      message =
-                        Printf.sprintf "submit: duplicate job id %S"
-                          spec.Job.id;
-                    })))
     | Some j ->
         (* The job is already queued or running (a reconnecting client
            resubmitting after failover): re-attach the result route, do
@@ -417,8 +402,9 @@ let accept_job t peer (spec : Job.spec) =
     | None -> (
         match Hashtbl.find_opt t.done_results spec.Job.id with
         | Some json ->
-            (* Finished in an earlier reign; the replayed journal still
-               knows the answer. *)
+            (* Idempotent resubmission of a finished job, in this reign
+               or an earlier one: replay the stored result instead of
+               re-running — the client paid once. *)
             send_stored_result t peer ~id:spec.Job.id json
         | None ->
             let j_ctx =
@@ -431,8 +417,8 @@ let accept_job t peer (spec : Job.spec) =
             let now = Timer.now () in
             let j =
               { j_spec = spec; j_worker = None; j_client = Some peer.pid;
-                j_done = false; j_ctx; j_t0 = now; j_wait_start = now;
-                j_assign = None; j_rerouted = false }
+                j_ctx; j_t0 = now; j_wait_start = now; j_assign = None;
+                j_rerouted = false }
             in
             Hashtbl.replace t.jobs spec.Job.id j;
             Queue.push spec.Job.id t.queue;
@@ -448,11 +434,13 @@ let accept_job t peer (spec : Job.spec) =
 let accept_result t peer (result : Job.result) =
   let id = result.Job.id in
   match Hashtbl.find_opt t.jobs id with
-  | None -> Log.warn (fun m -> m "result for unknown job %s; dropped" id)
-  | Some j when j.j_done ->
-      Log.debug (fun m -> m "duplicate result for %s; dropped" id)
+  | None ->
+      if Hashtbl.mem t.done_results id then
+        Log.debug (fun m -> m "duplicate result for %s; dropped" id)
+      else Log.warn (fun m -> m "result for unknown job %s; dropped" id)
   | Some j ->
-      j.j_done <- true;
+      (* A finished job lives on only as its result in [done_results]. *)
+      Hashtbl.remove t.jobs id;
       (match peer.role with
       | Worker_role name -> (
           match Hashtbl.find_opt t.workers name with
@@ -711,7 +699,6 @@ let recover t =
                     j_spec = spec;
                     j_worker = None;
                     j_client = None;
-                    j_done = false;
                     j_ctx =
                       (match spec.Job.trace with
                       | Some parent -> Some (parent, false)

@@ -110,7 +110,10 @@ let make_meters reg =
         "psdp_sketch_resamples_total";
   }
 
-type state = Pending | Running | Done of Job.result
+type state =
+  | Pending
+  | Running of float  (* Timer.now at run start; a crash settles with it *)
+  | Done of Job.result
 
 type handle = {
   spec : Job.spec;
@@ -378,7 +381,7 @@ let run_one eng h =
     finish eng h { Job.id; outcome = Job.Cancelled; elapsed = 0.0 }
   else begin
     Mutex.lock eng.mutex;
-    h.state <- Running;
+    h.state <- Running t0;
     Mutex.unlock eng.mutex;
     (match eng.meters with
     | Some m ->
@@ -563,8 +566,8 @@ let run_one eng h =
 (* Supervision: an exception escaping [run_one] must not kill the
    runner domain — with it would go one unit of the engine's capacity,
    silently. The crash is tallied and traced, the job is settled as
-   failed (when the crash left it unsettled), and the loop restarts
-   with the next job. *)
+   failed (when the crash left it unsettled) with the time it ran until
+   the crash, and the loop restarts with the next job. *)
 let supervise eng h e =
   let id = h.spec.Job.id in
   Fault.record Fault.Crash;
@@ -579,19 +582,22 @@ let supervise eng h e =
            (Printexc.to_string e))
    with _ -> ());
   Mutex.lock eng.mutex;
-  let settled =
-    match h.state with Done _ -> true | Pending | Running -> false
-  in
+  let state = h.state in
   Mutex.unlock eng.mutex;
-  if not settled then
+  let settle elapsed =
     try
       finish eng h
         {
           Job.id;
           outcome = Job.Failed ("runner crashed: " ^ Printexc.to_string e);
-          elapsed = 0.0;
+          elapsed;
         }
     with _ -> ()
+  in
+  match state with
+  | Done _ -> ()
+  | Pending -> settle 0.0
+  | Running t0 -> settle (Timer.now () -. t0)
 
 let rec runner_loop eng =
   Mutex.lock eng.mutex;
@@ -811,13 +817,13 @@ let recover eng =
 let cancel eng h =
   Atomic.set h.cancel_flag true;
   Mutex.lock eng.mutex;
-  let took = match h.state with Done _ -> false | Pending | Running -> true in
+  let took = match h.state with Done _ -> false | Pending | Running _ -> true in
   Mutex.unlock eng.mutex;
   took
 
 let peek eng h =
   Mutex.lock eng.mutex;
-  let r = match h.state with Done r -> Some r | Pending | Running -> None in
+  let r = match h.state with Done r -> Some r | Pending | Running _ -> None in
   Mutex.unlock eng.mutex;
   r
 
@@ -828,7 +834,7 @@ let await eng h =
     | Done r ->
         Mutex.unlock eng.mutex;
         r
-    | Pending | Running ->
+    | Pending | Running _ ->
         Condition.wait eng.cond eng.mutex;
         wait ()
   in

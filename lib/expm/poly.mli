@@ -19,9 +19,9 @@ open Psdp_linalg
 type choice = Taylor | Chebyshev
 
 val default_choice : choice ref
-(** Process-wide default polynomial for the exp kernels ({!Big_dot_exp},
-    {!Trace_est}). Initially [Chebyshev]; the [--poly taylor] CLI flag
-    and {!with_choice} override it. *)
+(** Process-wide default polynomial for the exp kernel ({!Big_dot_exp}).
+    Initially [Chebyshev]; the [--poly taylor] CLI flag and
+    {!with_choice} override it. *)
 
 val set_default_choice : choice -> unit
 

@@ -849,6 +849,33 @@ let test_span_stream () =
         (List.mem k retired_kinds))
     kinds
 
+(* A runner that crashes after real solver work settles with the time
+   it ran, and its exec span lasts exactly that long: the job span's
+   time stays attributed. *)
+let test_crash_keeps_run_time () =
+  let module Failpoint = Psdp_fault.Failpoint in
+  let trace = Trace.memory () in
+  let crashed =
+    Fun.protect ~finally:Failpoint.reset (fun () ->
+        Failpoint.arm ~trigger:(Failpoint.Nth 300) "evaluator.dots.exact"
+          (Failpoint.Crash "runner death");
+        Engine.with_engine ~pool:Psdp_parallel.Pool.sequential
+          ~max_in_flight:1 ~trace (fun eng ->
+            Engine.await eng
+              (Engine.submit eng (solve ~id:"crasher" ~eps:0.3 (proj ())))))
+  in
+  (match crashed.Job.outcome with
+  | Job.Failed msg when String.starts_with ~prefix:"runner crashed" msg -> ()
+  | o -> Alcotest.failf "expected a runner crash, got %s" (Job.status_string o));
+  Alcotest.(check bool)
+    (Printf.sprintf "elapsed %g s > 0" crashed.Job.elapsed)
+    true (crashed.Job.elapsed > 0.0);
+  match spans_named (Trace.events trace) "exec" ~job:"crasher" with
+  | [ e ] ->
+      Alcotest.(check (option (float 0.0)))
+        "exec span lasts the run" (Some crashed.Job.elapsed) (field "dur" e)
+  | l -> Alcotest.failf "expected one exec span, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -906,5 +933,7 @@ let () =
             test_engine_submit_after_shutdown;
           Alcotest.test_case "auto ids" `Quick test_engine_auto_ids;
           Alcotest.test_case "one span stream" `Quick test_span_stream;
+          Alcotest.test_case "crash keeps run time" `Quick
+            test_crash_keeps_run_time;
         ] );
     ]

@@ -368,49 +368,6 @@ let test_poly_degree_one () =
   Alcotest.(check bool) "identity" true (Vec.equal out v)
 
 (* ------------------------------------------------------------------ *)
-(* Trace_est *)
-
-let test_hutchinson_unbiased () =
-  let rng = Rng.create 301 in
-  let a = random_psd rng 12 0.5 in
-  let truth = Mat.trace a in
-  let est = Trace_est.hutchinson ~rng ~samples:2000 ~dim:12 (Mat.gemv a) in
-  if Float.abs (est -. truth) > 0.1 *. truth then
-    Alcotest.failf "hutchinson %g vs %g" est truth
-
-let test_gaussian_trace_unbiased () =
-  let rng = Rng.create 307 in
-  let a = random_psd rng 10 0.5 in
-  let truth = Mat.trace a in
-  let est = Trace_est.gaussian ~rng ~samples:4000 ~dim:10 (Mat.gemv a) in
-  if Float.abs (est -. truth) > 0.15 *. truth then
-    Alcotest.failf "gaussian %g vs %g" est truth
-
-let test_hutchinson_exact_on_diagonal_probes () =
-  (* For a diagonal matrix Rademacher probes are exact per sample. *)
-  let d = Mat.diag [| 1.0; 2.0; 3.0 |] in
-  let rng = Rng.create 311 in
-  let est = Trace_est.hutchinson ~rng ~samples:1 ~dim:3 (Mat.gemv d) in
-  Alcotest.(check (float 1e-12)) "diagonal exact" 6.0 est
-
-let test_exp_trace_estimator () =
-  let rng = Rng.create 313 in
-  let a = random_psd rng 8 0.3 in
-  let truth = Matfun.exp_trace a in
-  let est =
-    Trace_est.exp_trace ~rng ~samples:800 ~dim:8 ~kappa:(Eig.lambda_max a)
-      ~eps:0.01 (Mat.gemv a)
-  in
-  if Float.abs (est -. truth) > 0.15 *. truth then
-    Alcotest.failf "exp_trace %g vs %g" est truth
-
-let test_trace_est_validation () =
-  let rng = Rng.create 317 in
-  Alcotest.check_raises "zero samples"
-    (Invalid_argument "Trace_est: samples must be >= 1") (fun () ->
-      ignore (Trace_est.hutchinson ~rng ~samples:0 ~dim:3 (fun v -> v)))
-
-(* ------------------------------------------------------------------ *)
 (* Big_dot_exp (Theorem 4.1) *)
 
 let test_bigdotexp_exact_backend () =
@@ -527,6 +484,67 @@ let test_bigdotexp_dimension_checks () =
            ~matvec:(fun v -> v)
            ~dim:6 ~kappa:1.0 ~eps:0.1 ~sketch:(Jl.identity 5) factors))
 
+exception Enough
+
+(* EXP18 at its quick settings. At κ = 16 the certified Chebyshev
+   expansion must cut the Taylor prefix's matvecs at least 3× (EXP18
+   recorded 944 vs 160), and a 60-iteration faithful sketched decision
+   at dim 32 under the default polynomial must never fall back to
+   Taylor. The fallback count is read as a delta: other cases share the
+   process-wide counters. *)
+let test_exp18_matvec_cut_no_fallbacks () =
+  let module Decision = Psdp_core.Decision in
+  let module Instance = Psdp_core.Instance in
+  let rng = Rng.create 1806 in
+  let dim = 128 in
+  let factors = Array.init 8 (fun _ -> random_factored rng dim 4) in
+  let gram = Weighted_gram.create factors in
+  Weighted_gram.set_weights gram (Array.make 8 (0.125 /. float_of_int dim));
+  let sketch = Jl.create ~rng ~target_dim:16 ~source_dim:dim in
+  let run poly =
+    Big_dot_exp.compute ~poly ~matvec:(Weighted_gram.apply gram)
+      ~matvec_many:(Weighted_gram.apply_many gram)
+      ~dim ~kappa:16.0 ~eps:0.1 ~sketch factors
+  in
+  let taylor = run Big_dot_exp.Taylor and cheb = run Big_dot_exp.Chebyshev in
+  Alcotest.(check bool) "chebyshev ran" true
+    (cheb.Big_dot_exp.poly_used = Big_dot_exp.Chebyshev);
+  let ratio =
+    float_of_int taylor.Big_dot_exp.matvecs
+    /. float_of_int cheb.Big_dot_exp.matvecs
+  in
+  if ratio < 3.0 then
+    Alcotest.failf "matvec ratio %.2f < 3 (taylor %d, chebyshev %d)" ratio
+      taylor.Big_dot_exp.matvecs cheb.Big_dot_exp.matvecs;
+  let inst =
+    Psdp_instances.Random_psd.factored ~rng ~dim:32 ~n:6 ~rank:4
+      ~density:0.15 ()
+  in
+  let v =
+    2.0
+    *. Array.fold_left
+         (fun acc f -> acc +. (1.0 /. Factored.lambda_max f))
+         0.0 (Instance.factors inst)
+  in
+  let budget = 60 in
+  let fallbacks0 = Kernel_stats.taylor_fallbacks ()
+  and cheb0 = Kernel_stats.cheb_evals () in
+  let reached =
+    match
+      Decision.solve ~mode:Decision.Faithful ~eps:0.3
+        ~backend:(Decision.Sketched { seed = 5; sketch_dim = Some 24 })
+        ~on_iter:(fun st -> if st.Decision.t >= budget then raise Enough)
+        (Instance.scale v inst)
+    with
+    | (_ : Decision.result) -> false
+    | exception Enough -> true
+  in
+  Alcotest.(check bool) "ran the iteration budget" true reached;
+  Alcotest.(check bool) "chebyshev evaluations" true
+    (Kernel_stats.cheb_evals () > cheb0);
+  Alcotest.(check int) "no taylor fallbacks" 0
+    (Kernel_stats.taylor_fallbacks () - fallbacks0)
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -630,17 +648,6 @@ let () =
           Alcotest.test_case "apply_many byte-identical" `Quick
             test_poly_apply_many_byte_identical;
         ] );
-      ( "trace_est",
-        [
-          Alcotest.test_case "hutchinson unbiased" `Quick
-            test_hutchinson_unbiased;
-          Alcotest.test_case "gaussian unbiased" `Quick
-            test_gaussian_trace_unbiased;
-          Alcotest.test_case "diagonal exact" `Quick
-            test_hutchinson_exact_on_diagonal_probes;
-          Alcotest.test_case "exp trace" `Quick test_exp_trace_estimator;
-          Alcotest.test_case "validation" `Quick test_trace_est_validation;
-        ] );
       ( "big_dot_exp",
         [
           Alcotest.test_case "exact backend" `Quick test_bigdotexp_exact_backend;
@@ -654,6 +661,8 @@ let () =
           Alcotest.test_case "chebyshev default sandwich" `Quick
             test_bigdotexp_sketched_vs_exact_chebyshev_default;
           Alcotest.test_case "kernel stats" `Quick test_kernel_stats_counters;
+          Alcotest.test_case "exp18 matvec cut, no fallbacks" `Quick
+            test_exp18_matvec_cut_no_fallbacks;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -557,61 +557,6 @@ let test_exp_dot () =
     (Matfun.exp_trace phi)
 
 (* ------------------------------------------------------------------ *)
-(* Svd *)
-
-let test_svd_reconstruct () =
-  let rng = Rng.create 401 in
-  List.iter
-    (fun (m, n) ->
-      let a = random_matrix rng m n in
-      let d = Svd.thin a in
-      Alcotest.(check bool)
-        (Printf.sprintf "reconstruct %dx%d" m n)
-        true
-        (Mat.equal ~tol:1e-6 (Svd.reconstruct d) a);
-      (* Orthonormality of both factors. *)
-      let r = Array.length d.Svd.sigma in
-      Alcotest.(check bool) "U orthonormal" true
-        (Mat.equal ~tol:1e-6
-           (Mat.mul (Mat.transpose d.Svd.u) d.Svd.u)
-           (Mat.identity r));
-      Alcotest.(check bool) "V orthonormal" true
-        (Mat.equal ~tol:1e-6
-           (Mat.mul (Mat.transpose d.Svd.v) d.Svd.v)
-           (Mat.identity r));
-      (* Singular values decreasing and positive. *)
-      for k = 1 to r - 1 do
-        if d.Svd.sigma.(k) > d.Svd.sigma.(k - 1) +. 1e-12 then
-          Alcotest.fail "sigma not sorted"
-      done)
-    [ (5, 5); (8, 3); (3, 8); (10, 10) ]
-
-let test_svd_rank_detection () =
-  let rng = Rng.create 409 in
-  let g = random_matrix rng 8 3 in
-  let low = Mat.mul g (Mat.transpose (random_matrix rng 7 3)) in
-  Alcotest.(check int) "rank 3" 3 (Svd.rank low)
-
-let test_svd_known_values () =
-  (* diag(3, 4) has singular values 4, 3. *)
-  let a = Mat.diag [| 3.0; 4.0 |] in
-  let d = Svd.thin a in
-  check_float "sigma0" 4.0 d.Svd.sigma.(0);
-  check_float "sigma1" 3.0 d.Svd.sigma.(1);
-  check_float "spectral norm" 4.0 (Svd.spectral_norm a);
-  check_float "condition" (4.0 /. 3.0) (Svd.condition_number a)
-
-let test_svd_matches_eig_on_psd () =
-  (* For PSD matrices singular values equal eigenvalues. *)
-  let rng = Rng.create 419 in
-  let a = random_psd rng 6 in
-  let sv = (Svd.thin a).Svd.sigma in
-  let ev = (Eig.symmetric a).Eig.values in
-  Array.iteri
-    (fun i s -> check_close (Printf.sprintf "sv %d" i) 1e-6 s ev.(i))
-    sv
-
-(* ------------------------------------------------------------------ *)
 (* Lanczos *)
 
 let test_lanczos_diagonal () =
@@ -790,14 +735,6 @@ let () =
           Alcotest.test_case "inv_sqrtm" `Quick test_inv_sqrtm;
           Alcotest.test_case "inv_psd" `Quick test_inv_psd;
           Alcotest.test_case "exp_dot/exp_trace" `Quick test_exp_dot;
-        ] );
-      ( "svd",
-        [
-          Alcotest.test_case "reconstruct" `Quick test_svd_reconstruct;
-          Alcotest.test_case "rank detection" `Quick test_svd_rank_detection;
-          Alcotest.test_case "known values" `Quick test_svd_known_values;
-          Alcotest.test_case "matches eig on PSD" `Quick
-            test_svd_matches_eig_on_psd;
         ] );
       ( "lanczos",
         [

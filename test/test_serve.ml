@@ -1,9 +1,9 @@
-(* Tests for the online serving subsystem: the degradation ladder, the
-   open-loop arrival generator, SLA admission control (shed vs served,
-   exactly one response per submit), load-adaptive ε-degradation with
-   every degraded answer certified at its served ε, warm-start lineage
-   (parent resolution, ε-ordering in the cache, corrupted-incumbent
-   safety) and lineage provenance surviving the journal through recovery. *)
+(* Tests for the online serving subsystem: the degradation ladder, SLA
+   admission control (shed vs served, exactly one response per submit),
+   load-adaptive ε-degradation with every degraded answer certified at
+   its served ε, warm-start lineage (parent resolution, ε-ordering in the
+   cache, corrupted-incumbent safety) and lineage provenance surviving
+   the journal through recovery. *)
 
 open Psdp_prelude
 open Psdp_core
@@ -11,7 +11,6 @@ open Psdp_instances
 open Psdp_store
 open Psdp_engine
 module Degrade = Psdp_fault.Degrade
-module Arrival = Psdp_serve.Arrival
 module Serve = Psdp_serve.Serve
 
 let ok_or_fail what = function
@@ -82,68 +81,6 @@ let test_degrade_parse_roundtrip () =
     (Degrade.to_string (ok_or_fail "parse empty" (Degrade.parse "")));
   Alcotest.(check bool) "garbage rejected" true
     (match Degrade.parse "not-a-ladder" with Ok _ -> false | Error _ -> true)
-
-(* ------------------------------------------------------------------ *)
-(* Arrival processes *)
-
-let test_arrival_deterministic_and_sorted () =
-  let p = Arrival.Poisson { rate = 20.0 } in
-  let a = Arrival.times ~seed:7 ~duration:5.0 p in
-  let b = Arrival.times ~seed:7 ~duration:5.0 p in
-  Alcotest.(check (list (float 0.0))) "same seed, same schedule" a b;
-  Alcotest.(check bool) "different seed, different schedule" true
-    (Arrival.times ~seed:8 ~duration:5.0 p <> a);
-  Alcotest.(check bool) "non-trivial schedule" true (List.length a > 10);
-  let sorted_in_range ~horizon ts =
-    let rec go prev = function
-      | [] -> true
-      | t :: rest -> t >= prev && t < horizon && go t rest
-    in
-    go 0.0 ts
-  in
-  Alcotest.(check bool) "increasing, within horizon" true
-    (sorted_in_range ~horizon:5.0 a);
-  let burst = Arrival.Burst { rate = 2.0; peak = 40.0; period = 2.0; duty = 0.25 } in
-  let bt = Arrival.times ~seed:7 ~duration:6.0 burst in
-  Alcotest.(check bool) "burst schedule increasing" true
-    (sorted_in_range ~horizon:6.0 bt);
-  (* The burst windows [0, 0.5), [2, 2.5), [4, 4.5) run at 20x the base
-     rate: they must hold most of the arrivals despite covering a
-     quarter of the horizon. *)
-  let in_burst =
-    List.length
-      (List.filter (fun t -> Float.rem t 2.0 < 0.5) bt)
-  in
-  Alcotest.(check bool) "bursts dominate" true
-    (float_of_int in_burst > 0.6 *. float_of_int (List.length bt))
-
-let test_arrival_parse () =
-  (match Arrival.parse "poisson:3.5" with
-  | Ok (Arrival.Poisson { rate }) ->
-      Alcotest.(check (float 0.0)) "rate" 3.5 rate
-  | _ -> Alcotest.fail "poisson:3.5 should parse");
-  (match Arrival.parse "burst:2:20:5:0.2" with
-  | Ok (Arrival.Burst { rate; peak; period; duty }) ->
-      Alcotest.(check (float 0.0)) "rate" 2.0 rate;
-      Alcotest.(check (float 0.0)) "peak" 20.0 peak;
-      Alcotest.(check (float 0.0)) "period" 5.0 period;
-      Alcotest.(check (float 0.0)) "duty" 0.2 duty
-  | _ -> Alcotest.fail "burst:2:20:5:0.2 should parse");
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " rejected") true
-        (match Arrival.parse s with Ok _ -> false | Error _ -> true))
-    [ "poisson"; "poisson:-1"; "burst:1:2:3"; "steady:4"; "" ];
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        ("round-trip " ^ Arrival.to_string p)
-        true
-        (Arrival.parse (Arrival.to_string p) = Ok p))
-    [
-      Arrival.Poisson { rate = 4.0 };
-      Arrival.Burst { rate = 2.0; peak = 20.0; period = 5.0; duty = 0.2 };
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache: ε-ordering of warm-start sources *)
@@ -606,12 +543,6 @@ let () =
           Alcotest.test_case "apply bounded" `Quick test_degrade_apply_bounded;
           Alcotest.test_case "parse round-trip" `Quick
             test_degrade_parse_roundtrip;
-        ] );
-      ( "arrival",
-        [
-          Alcotest.test_case "deterministic + sorted" `Quick
-            test_arrival_deterministic_and_sorted;
-          Alcotest.test_case "parse" `Quick test_arrival_parse;
         ] );
       ( "cache",
         [
