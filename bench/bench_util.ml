@@ -15,15 +15,16 @@ let row fmt = Printf.printf fmt
 let estimate_opt ?backend inst =
   (Solver.solve_packing ?backend ~eps:0.4 inst).Solver.value
 
-(* Decision iterations at threshold OPT/2 — the "comfortably feasible"
-   operating point used by the scaling experiments: the dual side must do
-   real multiplicative-weights work to accumulate mass 1. *)
-let decision_iterations ?pool ?backend ?mode ~eps inst =
+(* Faithful decision iterations at threshold OPT/2 — the "comfortably
+   feasible" operating point used by the scaling experiments. Faithful
+   runs the multiplicative-weights loop until ‖x‖₁ passes K, with no
+   early exit (DESIGN §2). *)
+let decision_iterations ?pool ?backend ~eps inst =
   let opt = estimate_opt ?backend inst in
   (* Scaling the matrices by opt/2 puts the rescaled optimum at 2: the
      dual side must genuinely accumulate unit mass. *)
   let scaled = Instance.scale (opt /. 2.0) inst in
-  let r = Decision.solve ?pool ?backend ?mode ~eps scaled in
+  let r = Decision.solve ?pool ?backend ~mode:Decision.Faithful ~eps scaled in
   (r.Decision.iterations, r.Decision.params.Params.r_cap)
 
 let fit_exponent xs ys =

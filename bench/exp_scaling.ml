@@ -1,12 +1,11 @@
 (* EXP1 + EXP2: iteration-count scaling of decisionPSDP (Theorem 3.1).
 
    The theorem promises O(eps^-3 log^2 n) iterations, independent of the
-   input width. We measure the adaptive solver's actual iterations at a
-   fixed relative threshold (OPT/2) and report the empirical scaling
-   exponents next to the theoretical caps. The adaptive solver exits at a
-   verified certificate, so its counts are much smaller than the
-   worst-case cap R, but the *growth* in n and 1/eps is the claim under
-   test. *)
+   input width. We measure the Faithful solver's iterations at a fixed
+   relative threshold (OPT/2) and report the empirical scaling exponents
+   next to the theoretical caps. Faithful exits once the dual mass passes
+   K, far below the worst-case cap R, but the *growth* in n and 1/eps is
+   the claim under test. *)
 
 open Psdp_prelude
 open Psdp_instances
@@ -57,7 +56,7 @@ let exp2_iters_vs_eps ~quick () =
     Bench_util.fit_exponent (List.map fst points) (List.map snd points)
   in
   Printf.printf
-    "empirical exponent of iterations in 1/eps: %.2f  (paper cap: 3; the \
-     certificate-driven exits typically realize ~2)\n"
+    "empirical exponent of iterations in 1/eps: %.2f  (paper cap: 3; \
+     the Faithful dual exit needs ~log(K)/alpha = O(eps^-2 log) steps)\n"
     exponent;
   exponent

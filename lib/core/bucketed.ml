@@ -31,11 +31,6 @@ let solve ?pool ?(backend = Decision.Exact) ?(boost = 4.0)
   let l1 = ref (Util.sum_array x) in
   let avg_dots = Array.make n 0.0 in
   let t = ref 0 in
-  let cert_method =
-    match backend with
-    | Decision.Exact -> Certificate.Auto
-    | Decision.Sketched _ -> Certificate.Lanczos
-  in
   let early : Decision.outcome option ref = ref None in
   let finish_primal () =
     let steps = float_of_int (max 1 !t) in
@@ -43,7 +38,7 @@ let solve ?pool ?(backend = Decision.Exact) ?(boost = 4.0)
       { dots = Array.map (fun d -> d /. steps) avg_dots; y = None }
   in
   let check_early () =
-    let dual_cert = Certificate.rescale_dual ~method_:cert_method inst x in
+    let dual_cert = Certificate.shrink_dual inst x in
     if
       dual_cert.Certificate.feasible
       && dual_cert.Certificate.value >= 1.0 -. eps
@@ -74,7 +69,7 @@ let solve ?pool ?(backend = Decision.Exact) ?(boost = 4.0)
         if !l1 > k_cap then begin
           (* Boosted steps void the paper-constant scaling: rescale by the
              measured spectrum for a feasible-by-construction dual. *)
-          let cert = Certificate.rescale_dual ~method_:cert_method inst x in
+          let cert = Certificate.rescale_dual inst x in
           Decision.Dual { x = cert.Certificate.x; raw = Array.copy x }
         end
         else finish_primal ()

@@ -1,8 +1,6 @@
 open Psdp_linalg
 open Psdp_sparse
 
-type method_ = Dense | Lanczos | Auto
-
 type dual = {
   x : float array;
   value : float;
@@ -26,42 +24,65 @@ let validate_weights inst x =
         invalid_arg (Printf.sprintf "Certificate: negative weight x_%d" i))
     x
 
-let resolve_method method_ m =
-  match method_ with
-  | Dense -> `Dense
-  | Lanczos -> `Lanczos
-  | Auto -> if m <= 160 then `Dense else `Lanczos
+(* Largest Gram side the check solves densely. *)
+let dense_cutoff = 160
 
-let psi_lambda_max ?(method_ = Auto) inst x =
-  validate_weights inst x;
-  match resolve_method method_ (Instance.dim inst) with
-  | `Dense ->
-      let mats = Instance.dense_mats inst in
-      let psi = Mat.create (Instance.dim inst) (Instance.dim inst) in
-      Array.iteri
-        (fun i a -> if x.(i) <> 0.0 then Mat.axpy psi ~alpha:x.(i) a)
-        mats;
-      Eig.lambda_max psi
-  | `Lanczos ->
-      let gram = Weighted_gram.create (Instance.factors inst) in
-      Weighted_gram.set_weights gram x;
-      Lanczos.lambda_max_upper ~dim:(Instance.dim inst)
-        (Weighted_gram.apply gram)
+(* λmax(Σ xᵢAᵢ) for G = [√x₁Q₁ … √xₙQₙ] (m × r): it is λmax(GGᵀ) and
+   λmax(GᵀG). When the smaller side is at most [dense_cutoff], that Gram
+   is solved densely and the value is exact up to rounding; past it,
+   Lanczos estimates the value from below and inflates it by 1%. *)
+let spectrum inst x =
+  let factors = Instance.factors inst in
+  let m = Instance.dim inst in
+  let r = Array.fold_left (fun acc f -> acc + Factored.inner_dim f) 0 factors in
+  if min m r <= dense_cutoff then begin
+    let g =
+      Csr.hconcat
+        (Array.mapi
+           (fun i f -> Csr.scale (sqrt x.(i)) (Factored.factor f))
+           factors)
+    in
+    let side = if m <= r then Csr.transpose g else g in
+    `Exact (Float.max 0.0 (Eig.lambda_max (Csr.gram side)))
+  end
+  else begin
+    let gram = Weighted_gram.create factors in
+    Weighted_gram.set_weights gram x;
+    `Estimate (Lanczos.lambda_max_upper ~dim:m (Weighted_gram.apply gram))
+  end
 
-let check_dual ?(tol = 1e-6) ?(method_ = Auto) inst x =
+let psi_lambda_max inst x =
   validate_weights inst x;
-  let lambda_max = psi_lambda_max ~method_ inst x in
-  let value = Psdp_prelude.Util.sum_array x in
-  { x = Array.copy x; value; lambda_max; feasible = lambda_max <= 1.0 +. tol }
+  match spectrum inst x with `Exact l | `Estimate l -> l
 
-let rescale_dual ?tol ?(method_ = Auto) inst x =
+let dual_record ~tol x lambda_max =
+  {
+    x;
+    value = Psdp_prelude.Util.sum_array x;
+    lambda_max;
+    feasible = lambda_max <= 1.0 +. tol;
+  }
+
+let check_dual ?(tol = 1e-6) inst x =
+  dual_record ~tol (Array.copy x) (psi_lambda_max inst x)
+
+(* λmax(x/λ) = λmax(x)/λ = 1, so a scaled record needs no second check. *)
+let scaled ~tol x l = dual_record ~tol (Array.map (fun v -> v /. l) x) 1.0
+
+(* An exact λmax lets the dual scale up as well as down, so every answer
+   reaches λmax = 1; an estimate may under-report and only scales down. *)
+let rescale_dual ?(tol = 1e-6) inst x =
   validate_weights inst x;
-  let lambda_max = psi_lambda_max ~method_ inst x in
-  let scaled =
-    if lambda_max > 1.0 then Array.map (fun v -> v /. lambda_max) x
-    else Array.copy x
-  in
-  check_dual ?tol ~method_ inst scaled
+  match spectrum inst x with
+  | `Exact l when l > 0.0 -> scaled ~tol x l
+  | `Estimate l when l > 1.0 -> scaled ~tol x l
+  | `Exact l | `Estimate l -> dual_record ~tol (Array.copy x) l
+
+let shrink_dual ?(tol = 1e-6) inst x =
+  validate_weights inst x;
+  match spectrum inst x with
+  | (`Exact l | `Estimate l) when l > 1.0 -> scaled ~tol x l
+  | `Exact l | `Estimate l -> dual_record ~tol (Array.copy x) l
 
 let primal_of_dots ?(tol = 1e-6) ~trace dots =
   let min_dot = Psdp_prelude.Util.min_array dots in

@@ -56,18 +56,16 @@ let solve ?pool ?(backend = Exact) ?(mode = Adaptive { check_every = 10 })
     let scale = 1.0 /. ((1.0 +. (10.0 *. eps)) *. k_cap) in
     Dual { x = Array.map (fun v -> v *. scale) x; raw = Array.copy x }
   in
-  (* Certificates for the adaptive early exits must not dominate the
-     iteration cost: the sketched backend never materializes dense
-     matrices, so its checks go through Lanczos. *)
-  let cert_method =
-    match backend with
-    | Exact -> Certificate.Auto
-    | Sketched _ -> Certificate.Lanczos
-  in
+  (* The dual check picks its own path from m and r (Certificate): an
+     exact λmax from the smaller Gram side, or past the dense cutoff a
+     Lanczos estimate. The exit only pulls the iterate back onto
+     λmax <= 1, never scales it up: it answers once x itself carries mass
+     1 − ε. Scaling every answer up to λmax = 1 is the bisection's job
+     (Solver), so that each dual answer raises its [lo]. *)
   let early : outcome option ref = ref None in
   let check_early () =
     (* Sound early exits: both candidates are verified certificates. *)
-    let dual_cert = Certificate.rescale_dual ~method_:cert_method inst x in
+    let dual_cert = Certificate.shrink_dual inst x in
     if
       dual_cert.Certificate.feasible
       && dual_cert.Certificate.value >= 1.0 -. eps

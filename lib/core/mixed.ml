@@ -91,14 +91,9 @@ let solve ?pool ?(backend = Decision.Exact) ?(check_every = 10)
   let x = Decision.initial_point packing in
   let t = ref 0 in
   let finished : outcome option ref = ref None in
-  let cert_method =
-    match backend with
-    | Decision.Exact -> Certificate.Auto
-    | Decision.Sketched _ -> Certificate.Lanczos
-  in
   let check_feasible () =
     (* Packing-normalize the iterate and test the covering side. *)
-    let cert = Certificate.rescale_dual ~method_:cert_method packing x in
+    let cert = Certificate.rescale_dual packing x in
     let candidate = cert.Certificate.x in
     if
       cert.Certificate.feasible

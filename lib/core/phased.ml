@@ -25,11 +25,6 @@ let solve ?pool ?(backend = Decision.Exact) ?phase_growth ?(check_every = 10)
   let avg_dots = Array.make n 0.0 in
   let samples = ref 0 in
   let t = ref 0 and phases = ref 0 in
-  let cert_method =
-    match backend with
-    | Decision.Exact -> Certificate.Auto
-    | Decision.Sketched _ -> Certificate.Lanczos
-  in
   let early : Decision.outcome option ref = ref None in
   let finish_primal () =
     let steps = float_of_int (max 1 !samples) in
@@ -37,7 +32,7 @@ let solve ?pool ?(backend = Decision.Exact) ?phase_growth ?(check_every = 10)
       { dots = Array.map (fun d -> d /. steps) avg_dots; y = None }
   in
   let check_early () =
-    let dual_cert = Certificate.rescale_dual ~method_:cert_method inst x in
+    let dual_cert = Certificate.shrink_dual inst x in
     if
       dual_cert.Certificate.feasible
       && dual_cert.Certificate.value >= 1.0 -. eps
@@ -96,7 +91,7 @@ let solve ?pool ?(backend = Decision.Exact) ?phase_growth ?(check_every = 10)
           (* Stale in-phase updates void Lemma 3.2's a-priori scaling, so
              the exit dual is rescaled by the *measured* spectrum instead
              of the paper constant — feasible by construction. *)
-          let cert = Certificate.rescale_dual ~method_:cert_method inst x in
+          let cert = Certificate.rescale_dual inst x in
           Decision.Dual { x = cert.Certificate.x; raw = Array.copy x }
         end
         else finish_primal ()

@@ -185,7 +185,9 @@ let solve_packing ?pool ?backend ?mode ?max_calls ?(warm = cold) ?resume
     (match res.Decision.outcome with
     | Decision.Dual { x = xd; _ } ->
         (* x feasible for {v·Aᵢ} ⇒ v·x feasible for {Aᵢ}. Verify against
-           the full (unclamped) instance and keep the measured value. *)
+           the full (unclamped) instance and keep the measured value; on
+           the dense path rescale_dual scales the answer up to λmax = 1,
+           so [lo] rises to what its direction certifies. *)
         let candidate = Array.make n 0.0 in
         Array.iteri (fun k i -> candidate.(i) <- v *. xd.(k)) kept;
         let cert = Certificate.rescale_dual inst candidate in

@@ -97,7 +97,12 @@ let connect ?max_payload ?count_rx ?count_tx addr =
       match addr with Unix_sock _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
     in
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    Unix.connect fd (sockaddr_of addr);
+    (* A refused dial must not keep its socket: a client redialling a
+       dead address would run out of select()able descriptors. *)
+    (try Unix.connect fd (sockaddr_of addr)
+     with e ->
+       Unix.close fd;
+       raise e);
     Ok (of_fd ?max_payload ?count_rx ?count_tx fd)
   with
   | Unix.Unix_error (e, fn, arg) ->

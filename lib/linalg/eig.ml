@@ -4,13 +4,15 @@ type decomposition = { values : float array; vectors : Mat.t }
 
 exception No_convergence
 
-(* Householder reduction of a symmetric matrix to tridiagonal form,
-   accumulating the orthogonal transformation. On return [d] holds the
-   diagonal, [e] the subdiagonal shifted so that [e.(i)] couples rows
-   [i] and [i+1] ([e.(n-1)] is zero), and [z] holds the transformation
-   (columns will become eigenvectors after the QL pass). Classical
+(* Householder reduction of a symmetric matrix to tridiagonal form. On
+   return [d] holds the diagonal and [e] the subdiagonal shifted so that
+   [e.(i)] couples rows [i] and [i+1] ([e.(n-1)] is zero). With
+   [~vectors:true], [z] also holds the orthogonal transformation (columns
+   will become eigenvectors after the QL pass); without, the upper
+   triangle of [z] is left unspecified and the accumulation pass is
+   skipped. [d] and [e] get the same arithmetic either way. Classical
    "tred2" with 0-based indexing. *)
-let tridiagonalize z n d e =
+let tridiagonalize ~vectors z n d e =
   let zget i j = Mat.get z i j and zset i j v = Mat.set z i j v in
   for i = n - 1 downto 1 do
     let l = i - 1 in
@@ -33,7 +35,7 @@ let tridiagonalize z n d e =
         zset i l (f -. g);
         let fsum = ref 0.0 in
         for j = 0 to l do
-          zset j i (zget i j /. !h);
+          if vectors then zset j i (zget i j /. !h);
           let g = ref 0.0 in
           for k = 0 to j do
             g := !g +. (zget j k *. zget i k)
@@ -62,7 +64,7 @@ let tridiagonalize z n d e =
   e.(0) <- 0.0;
   for i = 0 to n - 1 do
     let l = i - 1 in
-    if d.(i) <> 0.0 then
+    if vectors && d.(i) <> 0.0 then
       for j = 0 to l do
         let g = ref 0.0 in
         for k = 0 to l do
@@ -72,12 +74,16 @@ let tridiagonalize z n d e =
           zset k j (zget k j -. (!g *. zget k i))
         done
       done;
+    (* The accumulation for row i only touches the leading i×i block, so
+       the diagonal entry read here is the reduction's either way. *)
     d.(i) <- zget i i;
-    zset i i 1.0;
-    for j = 0 to l do
-      zset j i 0.0;
-      zset i j 0.0
-    done
+    if vectors then begin
+      zset i i 1.0;
+      for j = 0 to l do
+        zset j i 0.0;
+        zset i j 0.0
+      done
+    end
   done;
   (* Shift e to the convention e.(i) couples i and i+1. *)
   for i = 1 to n - 1 do
@@ -181,7 +187,7 @@ let symmetric a =
     let d = Array.make n 0.0 and e = Array.make n 0.0 in
     if n = 1 then { values = [| Mat.get z 0 0 |]; vectors = Mat.identity 1 }
     else begin
-      tridiagonalize z n d e;
+      tridiagonalize ~vectors:true z n d e;
       ql_implicit d e ~z n;
       let values, vectors = sort_descending d (Some z) n in
       match vectors with
@@ -204,16 +210,29 @@ let tridiagonal_values d e =
     values
   end
 
-let lambda_max a =
-  let { values; _ } = symmetric a in
-  if Array.length values = 0 then invalid_arg "Eig.lambda_max: empty matrix";
-  values.(0)
+(* The values of [symmetric a], bit for bit, without the eigenvectors:
+   the reduction skips its accumulation pass and QL rotates nothing. *)
+let sorted_values ~caller a =
+  if not (Mat.is_square a) then invalid_arg (caller ^ ": not square");
+  if not (Mat.is_symmetric ~tol:1e-6 a) then
+    invalid_arg (caller ^ ": matrix is not symmetric");
+  let n = Mat.rows a in
+  if n = 0 then invalid_arg (caller ^ ": empty matrix");
+  Cost.parallel ~work:(2 * n * n * n) ~span:(n * 60);
+  let z = Mat.symmetrize a in
+  if n = 1 then [| Mat.get z 0 0 |]
+  else begin
+    let d = Array.make n 0.0 and e = Array.make n 0.0 in
+    tridiagonalize ~vectors:false z n d e;
+    ql_implicit d e n;
+    fst (sort_descending d None n)
+  end
+
+let lambda_max a = (sorted_values ~caller:"Eig.lambda_max" a).(0)
 
 let lambda_min a =
-  let { values; _ } = symmetric a in
-  let n = Array.length values in
-  if n = 0 then invalid_arg "Eig.lambda_min: empty matrix";
-  values.(n - 1)
+  let vs = sorted_values ~caller:"Eig.lambda_min" a in
+  vs.(Array.length vs - 1)
 
 let apply_fun f { values; vectors } =
   let n = Array.length values in

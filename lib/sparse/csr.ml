@@ -51,6 +51,46 @@ let of_coo ~rows ~cols entries =
   done;
   { rows; cols; row_ptr; col_idx; values }
 
+let hconcat blocks =
+  if Array.length blocks = 0 then invalid_arg "Csr.hconcat: no blocks";
+  let rows = blocks.(0).rows in
+  Array.iter
+    (fun b ->
+      if b.rows <> rows then
+        invalid_arg
+          (Printf.sprintf "Csr.hconcat: a block has %d rows, expected %d"
+             b.rows rows))
+    blocks;
+  let row_ptr = Array.make (rows + 1) 0 in
+  for i = 0 to rows - 1 do
+    let kept = ref 0 in
+    Array.iter
+      (fun b ->
+        for k = b.row_ptr.(i) to b.row_ptr.(i + 1) - 1 do
+          if b.values.(k) <> 0.0 then incr kept
+        done)
+      blocks;
+    row_ptr.(i + 1) <- row_ptr.(i) + !kept
+  done;
+  let col_idx = Array.make row_ptr.(rows) 0 in
+  let values = Array.make row_ptr.(rows) 0.0 in
+  for i = 0 to rows - 1 do
+    let pos = ref row_ptr.(i) and offset = ref 0 in
+    Array.iter
+      (fun b ->
+        for k = b.row_ptr.(i) to b.row_ptr.(i + 1) - 1 do
+          if b.values.(k) <> 0.0 then begin
+            col_idx.(!pos) <- !offset + b.col_idx.(k);
+            values.(!pos) <- b.values.(k);
+            incr pos
+          end
+        done;
+        offset := !offset + b.cols)
+      blocks
+  done;
+  let cols = Array.fold_left (fun acc b -> acc + b.cols) 0 blocks in
+  { rows; cols; row_ptr; col_idx; values }
+
 let of_dense ?(tol = 0.0) m =
   let entries = ref [] in
   for i = Mat.rows m - 1 downto 0 do
@@ -186,6 +226,27 @@ let row_dot t i x =
     s := !s +. (t.values.(k) *. x.(t.col_idx.(k)))
   done;
   !s
+
+let gram t =
+  let n = t.cols in
+  let g = Array.make (n * n) 0.0 in
+  (* Upper triangle: column indices ascend within a row. *)
+  for i = 0 to t.rows - 1 do
+    let last = t.row_ptr.(i + 1) - 1 in
+    for a = t.row_ptr.(i) to last do
+      let base = t.col_idx.(a) * n and va = t.values.(a) in
+      for b = a to last do
+        let at = base + t.col_idx.(b) in
+        g.(at) <- g.(at) +. (va *. t.values.(b))
+      done
+    done
+  done;
+  for j1 = 0 to n - 1 do
+    for j2 = j1 + 1 to n - 1 do
+      g.((j2 * n) + j1) <- g.((j1 * n) + j2)
+    done
+  done;
+  Mat.of_array ~rows:n ~cols:n g
 
 let frobenius_sq t =
   Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 t.values

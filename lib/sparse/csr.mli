@@ -19,6 +19,13 @@ val of_coo : rows:int -> cols:int -> (int * int * float) list -> t
     explicit zeros dropped. Raises [Invalid_argument] on out-of-range
     indices. *)
 
+val hconcat : t array -> t
+(** [hconcat [|a₀; …; aₖ|]] is the block row [[a₀ | … | aₖ]]: block [b]'s
+    columns are shifted by the widths of the blocks before it. Explicit
+    zeros are dropped, so the result equals {!of_coo} on the shifted
+    entries, in O(nnz) and without sorting. Raises [Invalid_argument] on
+    an empty array or blocks with different row counts. *)
+
 val of_dense : ?tol:float -> Mat.t -> t
 (** Entries with absolute value [<= tol] (default [0.]) are dropped. *)
 
@@ -47,6 +54,10 @@ val spmv_t : t -> Vec.t -> Vec.t
 
 val row_dot : t -> int -> Vec.t -> float
 (** Dot product of row [i] with a dense vector. *)
+
+val gram : t -> Mat.t
+(** [gram a] is the dense [cols × cols] matrix [aᵀa], summed row by row
+    of [a] over the outer products of its nonzeros. Exactly symmetric. *)
 
 val frobenius_sq : t -> float
 (** [Σ aᵢⱼ²]. *)

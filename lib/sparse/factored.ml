@@ -130,31 +130,7 @@ let quadratic a v =
   let u = Csr.spmv a.qt v in
   Vec.dot u u
 
-let lambda_max a =
-  let r = inner_dim a in
-  (* G = QᵀQ, built one column of Q at a time through the transpose. *)
-  let g = Mat.create r r in
-  let { Csr.row_ptr; col_idx; values; _ } = a.qt in
-  for j1 = 0 to r - 1 do
-    for j2 = j1 to r - 1 do
-      (* sparse dot of columns j1 and j2 of Q = rows j1, j2 of Qᵀ *)
-      let k1 = ref row_ptr.(j1) and k2 = ref row_ptr.(j2) in
-      let s = ref 0.0 in
-      while !k1 < row_ptr.(j1 + 1) && !k2 < row_ptr.(j2 + 1) do
-        let c1 = col_idx.(!k1) and c2 = col_idx.(!k2) in
-        if c1 = c2 then begin
-          s := !s +. (values.(!k1) *. values.(!k2));
-          incr k1;
-          incr k2
-        end
-        else if c1 < c2 then incr k1
-        else incr k2
-      done;
-      Mat.set g j1 j2 !s;
-      Mat.set g j2 j1 !s
-    done
-  done;
-  Float.max 0.0 (Eig.lambda_max g)
+let lambda_max a = Float.max 0.0 (Eig.lambda_max (Csr.gram a.q))
 
 let lambda_max_upper a =
   (* λmax(QQᵀ) = ‖Q‖₂² <= min(‖Q‖²_F, ‖Q‖₁·‖Q‖_∞). *)

@@ -28,23 +28,15 @@ let create factors =
     Array.fold_left (fun acc f -> acc + Factored.inner_dim f) 0 factors
   in
   let owner = Array.make total_cols 0 in
-  let entries = ref [] in
   let col_base = ref 0 in
   Array.iteri
     (fun i f ->
-      let q = Factored.factor f in
-      let { Csr.row_ptr; col_idx; values; _ } = q in
-      for r = 0 to Csr.rows q - 1 do
-        for k = row_ptr.(r) to row_ptr.(r + 1) - 1 do
-          entries := (r, !col_base + col_idx.(k), values.(k)) :: !entries
-        done
-      done;
       for c = 0 to Factored.inner_dim f - 1 do
         owner.(!col_base + c) <- i
       done;
       col_base := !col_base + Factored.inner_dim f)
     factors;
-  let q = Csr.of_coo ~rows:dim ~cols:total_cols !entries in
+  let q = Csr.hconcat (Array.map Factored.factor factors) in
   {
     dim;
     factors;

@@ -84,16 +84,89 @@ let test_certificate_rescale () =
   Alcotest.(check bool) "feasible after rescale" true cert.Certificate.feasible;
   Alcotest.(check (float 1e-6)) "value 1" 1.0 cert.Certificate.value
 
+(* An independent dense λmax of Σ xᵢAᵢ, from the m × m matrix. *)
+let dense_psi_lambda_max inst x =
+  let m = Instance.dim inst in
+  let psi = Mat.create m m in
+  Array.iteri
+    (fun i a -> if x.(i) <> 0.0 then Mat.axpy psi ~alpha:x.(i) a)
+    (Instance.dense_mats inst);
+  Eig.lambda_max psi
+
+(* Past the dense cutoff on both sides (m = 170, r = 6·30 = 180) the
+   check is a Lanczos estimate: it must track the dense value, and since
+   it may under-report, rescale_dual must never scale up on it. *)
 let test_certificate_lanczos_matches_dense () =
   let rng = Rng.create 11 in
   let inst =
-    Random_psd.factored ~rng ~dim:20 ~n:6 ~rank:4 ~density:0.5 ()
+    Random_psd.factored ~rng ~dim:170 ~n:6 ~rank:30 ~density:0.5 ()
   in
   let x = Array.init 6 (fun _ -> Rng.uniform rng) in
-  let dense = Certificate.psi_lambda_max ~method_:Certificate.Dense inst x in
-  let lan = Certificate.psi_lambda_max ~method_:Certificate.Lanczos inst x in
+  let dense = dense_psi_lambda_max inst x in
+  let lan = Certificate.psi_lambda_max inst x in
   if Float.abs (dense -. lan) > 0.02 *. dense then
-    Alcotest.failf "lanczos %g vs dense %g" lan dense
+    Alcotest.failf "lanczos %g vs dense %g" lan dense;
+  let small = Array.map (fun v -> v *. 0.5 /. lan) x in
+  let kept = Certificate.rescale_dual inst small in
+  Alcotest.(check bool) "estimate below 1: x unchanged" true
+    (kept.Certificate.x = small);
+  Alcotest.(check (float 1e-12)) "value unscaled" (Util.sum_array small)
+    kept.Certificate.value;
+  let big = Array.map (fun v -> v *. 3.0 /. lan) x in
+  let down = Certificate.rescale_dual inst big in
+  Alcotest.(check bool) "estimate above 1: scaled down, not past 1" true
+    (down.Certificate.value < Util.sum_array big
+    && down.Certificate.value > Util.sum_array small)
+
+(* decide-large's shape: m = 192 antennas, 64 rank-one users, so the
+   check solves the 64 × 64 Gram GᵀG. *)
+let decide_large_shape () =
+  let rng = Rng.create 2012 in
+  let inst = Beamforming.instance ~rng ~antennas:192 ~users:64 () in
+  (inst, Array.init 64 (fun _ -> Rng.uniform rng))
+
+let test_certificate_exact_smaller_side () =
+  let inst, x = decide_large_shape () in
+  let dense = dense_psi_lambda_max inst x in
+  let got = Certificate.psi_lambda_max inst x in
+  if Float.abs (got -. dense) > 1e-12 *. dense then
+    Alcotest.failf "Gram-side lambda_max %.17g vs dense %.17g" got dense
+
+let test_certificate_rescale_up_and_down () =
+  let inst, x = decide_large_shape () in
+  let lmax = dense_psi_lambda_max inst x in
+  List.iter
+    (fun (label, target) ->
+      let x = Array.map (fun v -> v *. target /. lmax) x in
+      let l = Certificate.psi_lambda_max inst x in
+      let cert = Certificate.rescale_dual inst x in
+      let want = Util.sum_array x /. l in
+      if Float.abs (cert.Certificate.value -. want) > 1e-12 *. want then
+        Alcotest.failf "%s: value %.17g, want ||x||_1/lambda_max = %.17g" label
+          cert.Certificate.value want;
+      Alcotest.(check bool) (label ^ ": feasible") true cert.Certificate.feasible;
+      let check = dense_psi_lambda_max inst cert.Certificate.x in
+      if check > 1.0 +. 1e-9 then
+        Alcotest.failf "%s: dense check of the scaled dual reads %.17g" label
+          check)
+    [ ("lambda_max < 1, scaled up", 0.4); ("lambda_max > 1, scaled down", 2.5) ]
+
+(* shrink_dual only ever pulls x back onto λmax <= 1 (Aᵢ = cᵢ·I here, so
+   λmax = Σ xᵢcᵢ). *)
+let test_certificate_shrink () =
+  let inst, _ = Diagonal.scaled_identities [| 1.0; 2.0 |] ~dim:3 in
+  let x = [| 0.25; 0.125 |] in
+  let kept = Certificate.shrink_dual inst x in
+  Alcotest.(check bool) "lambda_max 0.5: x unchanged" true (kept.Certificate.x = x);
+  Alcotest.(check (float 1e-12)) "value unscaled" 0.375 kept.Certificate.value;
+  Alcotest.(check (float 1e-12)) "lambda_max reported" 0.5
+    kept.Certificate.lambda_max;
+  let down = Certificate.shrink_dual inst [| 2.0; 1.0 |] in
+  Alcotest.(check (float 1e-12)) "lambda_max 4: scaled down" 0.75
+    down.Certificate.value;
+  Alcotest.(check (float 1e-12)) "onto the boundary" 1.0
+    down.Certificate.lambda_max;
+  Alcotest.(check bool) "feasible" true down.Certificate.feasible
 
 let test_certificate_primal () =
   let inst, _ = Diagonal.scaled_identities [| 2.0 |] ~dim:2 in
@@ -457,6 +530,25 @@ let test_decision_primal_trace_one () =
   | Decision.Primal { y = None; _ } -> Alcotest.fail "exact backend must give Y"
   | Decision.Dual _ -> Alcotest.fail "expected primal"
 
+(* Far below OPT an exact check could certify at its first look by
+   scaling the iterate up. The decision's exit does not: it answers once
+   x itself carries mass 1 − ε, and the bisection does the scaling.
+   Orthogonal projectors at a fifth of OPT: the initial point carries
+   OPT/m = 5/32 of mass, so the iterate must grow before it answers. *)
+let test_decision_exit_does_not_scale_up () =
+  let rng = Rng.create 29 in
+  let inst, opt = Known_opt.orthogonal_projectors ~rng ~dim:32 ~n:4 in
+  let eps = 0.3 in
+  let r = Decision.solve ~eps (Instance.scale (opt /. 5.0) inst) in
+  match r.Decision.outcome with
+  | Decision.Primal _ -> Alcotest.fail "primal answer below OPT"
+  | Decision.Dual { x; raw } ->
+      let mass = Util.sum_array x in
+      if mass < 1.0 -. eps || mass > Util.sum_array raw *. (1.0 +. 1e-12) then
+        Alcotest.failf "dual mass %g, iterate mass %g" mass (Util.sum_array raw);
+      if r.Decision.iterations <= 10 then
+        Alcotest.failf "answered after %d iterations" r.Decision.iterations
+
 let test_decision_width_independence_smoke () =
   (* Iteration counts must stay flat as the width grows (EXP3 in full). *)
   let iters width =
@@ -552,6 +644,24 @@ let test_solver_sketched_backend () =
       inst
   in
   check_packing_result inst 0.2 (Some opt) r
+
+(* A solve that used to stall: beamforming with m = 10 and 4 users under
+   a pinned 5-row JL sketch at ε = 0.5 (cell s012 of perfbench's
+   solve-small). A dual that only ever scaled down never reached
+   λmax = 1, so no decision call raised the lower end and the bisection
+   re-probed one threshold until its call budget ran out. *)
+let test_solver_sketched_stall_closes () =
+  let rng = Rng.create ((20120625 * 1_000_003) + 7_919 + 12) in
+  let inst = Beamforming.instance ~rng ~antennas:10 ~users:4 () in
+  let eps = 0.5 in
+  let r =
+    Solver.solve_packing ~eps
+      ~backend:(Decision.Sketched { seed = 17; sketch_dim = Some 5 })
+      inst
+  in
+  if r.Solver.upper_bound > (1.0 +. eps) *. r.Solver.value then
+    Alcotest.failf "bracket [%g, %g] open after %d calls" r.Solver.value
+      r.Solver.upper_bound r.Solver.decision_calls
 
 let test_solver_covering_witness () =
   (* Beamforming channels overlap, so the a-priori upper bracket is loose
@@ -807,6 +917,12 @@ let () =
           Alcotest.test_case "rescale" `Quick test_certificate_rescale;
           Alcotest.test_case "lanczos vs dense" `Quick
             test_certificate_lanczos_matches_dense;
+          Alcotest.test_case "exact on the smaller side" `Quick
+            test_certificate_exact_smaller_side;
+          Alcotest.test_case "rescale up and down" `Quick
+            test_certificate_rescale_up_and_down;
+          Alcotest.test_case "shrink only scales down" `Quick
+            test_certificate_shrink;
           Alcotest.test_case "primal" `Quick test_certificate_primal;
           Alcotest.test_case "rejects negative" `Quick
             test_certificate_rejects_negative;
@@ -850,6 +966,8 @@ let () =
             test_decision_sketched_agrees;
           Alcotest.test_case "primal trace 1" `Quick
             test_decision_primal_trace_one;
+          Alcotest.test_case "exit does not scale up" `Quick
+            test_decision_exit_does_not_scale_up;
           Alcotest.test_case "width independence smoke" `Slow
             test_decision_width_independence_smoke;
         ] );
@@ -868,6 +986,8 @@ let () =
             test_solver_beamforming_bracket;
           Alcotest.test_case "sketched backend" `Quick
             test_solver_sketched_backend;
+          Alcotest.test_case "sketched stall closes" `Quick
+            test_solver_sketched_stall_closes;
           Alcotest.test_case "covering witness" `Quick
             test_solver_covering_witness;
           Alcotest.test_case "solve_covering" `Quick test_solve_covering;

@@ -782,6 +782,44 @@ let test_submit_with_welcome () =
             Alcotest.failf "the buffered submit took %.2fs" took;
           Transport.close conn))
 
+(* Every worker_dead event in a coordinator trace, with its reason and
+   its time relative to the last completed assignment and to the
+   coordinator's stop (which shutdown_cluster requests) — what tells a
+   death mid-stream from one at shutdown. Empty when there is none. *)
+let describe_worker_deaths path =
+  let events =
+    if not (Sys.file_exists path) then []
+    else
+      In_channel.with_open_bin path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter_map (fun line -> Result.to_option (Json.parse line))
+  in
+  let field k conv e = Option.bind (Json.mem k e) conv in
+  let time e = Option.value (field "t" Json.num e) ~default:Float.nan in
+  let is kind e = field "kind" Json.str e = Some kind in
+  let last_assign =
+    List.fold_left
+      (fun acc e ->
+        if is "span" e && field "name" Json.str e = Some "assign" then
+          Float.max acc (time e)
+        else acc)
+      Float.neg_infinity events
+  in
+  let stopped = Option.map time (List.find_opt (is "coordinator_stopped") events) in
+  List.filter (is "worker_dead") events
+  |> List.map (fun e ->
+         let t = time e in
+         Printf.sprintf
+           "worker_dead at t=%.3fs (reason %S): %+.3fs from the last completed \
+            job, %s"
+           t
+           (Option.value (field "reason" Json.str e) ~default:"?")
+           (t -. last_assign)
+           (match stopped with
+           | Some ts -> Printf.sprintf "%+.3fs from shutdown_cluster" (t -. ts)
+           | None -> "no coordinator_stopped event"))
+  |> String.concat "; "
+
 (* A worker kept busy past the grace period never idles long enough to
    heartbeat; its result frames must keep it alive. *)
 let test_busy_worker_alive () =
@@ -837,10 +875,16 @@ let test_busy_worker_alive () =
       in
       let count p = List.length (List.filter p records) in
       let completed = count (function Journal.Completed _ -> true | _ -> false) in
-      Alcotest.(check bool) "a stream of jobs ran" true (completed > 10);
-      Alcotest.(check int) "every job assigned once: zero reroutes" completed
+      let why label =
+        match describe_worker_deaths trace with
+        | "" -> label
+        | deaths -> Printf.sprintf "%s [%s]" label deaths
+      in
+      Alcotest.(check bool) (why "a stream of jobs ran") true (completed > 10);
+      Alcotest.(check int) (why "every job assigned once: zero reroutes")
+        completed
         (count (function Journal.Assigned _ -> true | _ -> false));
-      Alcotest.(check bool) "no worker_dead in the coordinator trace" false
+      Alcotest.(check bool) (why "no worker_dead in the coordinator trace") false
         (wait_for_event ~timeout:0.0 trace "worker_dead"))
 
 (* ------------------------------------------------------------------ *)
@@ -869,6 +913,7 @@ let test_failover_takeover () =
       let both = Printf.sprintf "unix:%s,unix:%s" sock_a sock_b in
       let trace_w1 = Filename.concat dir "w1.trace" in
       let trace_w2 = Filename.concat dir "w2.trace" in
+      let trace_b = Filename.concat dir "b.trace" in
       let procs = ref [] in
       let spawn' args =
         let pid = spawn args in
@@ -888,7 +933,8 @@ let test_failover_takeover () =
           let standby =
             spawn'
               (coordinator_args sock_b store_b
-              @ [ "--standby"; "--peers"; "unix:" ^ sock_a; "--name"; "sb" ])
+              @ [ "--standby"; "--peers"; "unix:" ^ sock_a; "--name"; "sb";
+                  "--trace"; trace_b ])
           in
           ignore
             (spawn'
@@ -923,6 +969,10 @@ let test_failover_takeover () =
             | Error f ->
                 Alcotest.failf "warm phase: %s" (Client.failure_to_string f)
           in
+          (* A standby that never tailed the WAL holds nothing to take
+             over, and the projector jobs can finish before it attaches. *)
+          if not (wait_for_event ~timeout:60.0 trace_b "standby_tailing") then
+            Alcotest.fail "the standby never tailed the primary's WAL";
           kill9 primary;
           reap_pid primary;
           let rest =

@@ -424,6 +424,22 @@ let test_eig_rejects_asymmetric () =
     (Invalid_argument "Eig.symmetric: matrix is not symmetric") (fun () ->
       ignore (Eig.symmetric a))
 
+(* lambda_max/lambda_min skip the eigenvector accumulation; the values
+   must still be symmetric's, bit for bit. *)
+let test_eig_values_only_bit_identical () =
+  let rng = Rng.create 61 in
+  List.iter
+    (fun n ->
+      let a = random_symmetric rng n in
+      let { Eig.values; _ } = Eig.symmetric a in
+      let same what want got =
+        if Int64.bits_of_float want <> Int64.bits_of_float got then
+          Alcotest.failf "n=%d %s: %.17g vs symmetric's %.17g" n what got want
+      in
+      same "lambda_max" values.(0) (Eig.lambda_max a);
+      same "lambda_min" values.(n - 1) (Eig.lambda_min a))
+    [ 1; 2; 12; 64; 161 ]
+
 let test_tridiagonal_values () =
   (* Tridiagonal with diagonal 2 and subdiagonal -1 (discrete Laplacian):
      eigenvalues are 2 - 2 cos(kπ/(n+1)). *)
@@ -718,6 +734,8 @@ let () =
             test_eig_rejects_asymmetric;
           Alcotest.test_case "tridiagonal laplacian" `Quick
             test_tridiagonal_values;
+          Alcotest.test_case "values only bit-identical" `Quick
+            test_eig_values_only_bit_identical;
         ] );
       ( "matfun",
         [

@@ -278,7 +278,8 @@ let chaos_failpoint = "evaluator.dots.sketched=corrupt@prob:0.7:1234"
 (* Empirically failing under [chaos_failpoint]; small enough that the
    whole self-test (campaign + library replay + CLI replay) stays in
    single-digit seconds. *)
-let chaos_spec = { Spec.family = Spec.Graph_cycle; dim = 3; n = 3; seed = 954685 }
+let chaos_spec =
+  { Spec.family = Spec.Beamforming { corr = 0.0 }; dim = 3; n = 3; seed = 954687 }
 
 let test_selftest_corrupt_backend_replay () =
   let path = temp_corpus () in

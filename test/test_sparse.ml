@@ -231,6 +231,68 @@ let test_factored_pivoted_matches_eig () =
        "Factored.of_dense_psd_pivoted: matrix has a negative eigenvalue")
     (fun () -> ignore (Factored.of_dense_psd_pivoted indef))
 
+(* Block rows built by concatenation must equal the sorted COO build
+   array for array — empty rows and explicit zeros included. *)
+let test_csr_hconcat_matches_coo () =
+  let rng = Rng.create 41 in
+  let dim = 7 in
+  (* Row 4 stays empty in every block. *)
+  let block cols density =
+    let entries = ref [] in
+    for i = 0 to dim - 1 do
+      for j = 0 to cols - 1 do
+        if i <> 4 && Rng.uniform rng < density then
+          entries := (i, j, Rng.gaussian rng) :: !entries
+      done
+    done;
+    Csr.of_coo ~rows:dim ~cols !entries
+  in
+  let blocks =
+    [|
+      block 3 0.3;
+      Csr.of_coo ~rows:dim ~cols:2 [ (2, 1, 1.5) ];
+      Csr.scale 0.0 (block 2 0.5);
+      Csr.of_coo ~rows:dim ~cols:4 [];
+      block 5 0.6;
+    |]
+  in
+  let entries = ref [] and offset = ref 0 in
+  Array.iter
+    (fun (b : Csr.t) ->
+      for r = 0 to b.Csr.rows - 1 do
+        for k = b.Csr.row_ptr.(r) to b.Csr.row_ptr.(r + 1) - 1 do
+          entries := (r, !offset + b.Csr.col_idx.(k), b.Csr.values.(k)) :: !entries
+        done
+      done;
+      offset := !offset + b.Csr.cols)
+    blocks;
+  let want = Csr.of_coo ~rows:dim ~cols:!offset !entries in
+  let got = Csr.hconcat blocks in
+  Alcotest.(check bool) "has an empty row" true
+    (Array.exists (fun r -> want.Csr.row_ptr.(r) = want.Csr.row_ptr.(r + 1))
+       (Array.init dim Fun.id));
+  Alcotest.(check (pair int int)) "shape" (want.Csr.rows, want.Csr.cols)
+    (got.Csr.rows, got.Csr.cols);
+  Alcotest.(check (array int)) "row_ptr" want.Csr.row_ptr got.Csr.row_ptr;
+  Alcotest.(check (array int)) "col_idx" want.Csr.col_idx got.Csr.col_idx;
+  Alcotest.(check bool) "values bit-identical" true
+    (Array.map Int64.bits_of_float want.Csr.values
+    = Array.map Int64.bits_of_float got.Csr.values);
+  Alcotest.check_raises "no blocks" (Invalid_argument "Csr.hconcat: no blocks")
+    (fun () -> ignore (Csr.hconcat [||]));
+  Alcotest.check_raises "row mismatch"
+    (Invalid_argument "Csr.hconcat: a block has 3 rows, expected 7") (fun () ->
+      ignore (Csr.hconcat [| blocks.(0); Csr.identity 3 |]))
+
+let test_csr_gram () =
+  let rng = Rng.create 43 in
+  let a = Factored.factor (random_factored rng 9 5 0.5) in
+  let d = Csr.to_dense a in
+  let g = Csr.gram a in
+  Alcotest.(check bool) "= AᵀA" true
+    (Mat.equal ~tol:1e-12 g (Mat.mul (Mat.transpose d) d));
+  Alcotest.(check bool) "exactly symmetric" true (Mat.equal g (Mat.transpose g))
+
 (* ------------------------------------------------------------------ *)
 (* Weighted_gram *)
 
@@ -391,6 +453,9 @@ let () =
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
           Alcotest.test_case "identity/scale" `Quick test_csr_identity_scale;
           Alcotest.test_case "frobenius" `Quick test_csr_frobenius;
+          Alcotest.test_case "hconcat matches coo" `Quick
+            test_csr_hconcat_matches_coo;
+          Alcotest.test_case "gram" `Quick test_csr_gram;
         ] );
       ( "factored",
         [

@@ -428,6 +428,12 @@ let test_store_snapshot_files_and_tmp_sweep () =
 let proj () =
   Known_opt.orthogonal_projectors ~rng:(Rng.create 7) ~dim:8 ~n:3
 
+(* Crash recovery needs a solve that spans several decision calls: edge
+   packing on the cycle C₅ takes four at ε = 0.2, and its optimum is
+   known in closed form. *)
+let cycle () =
+  (Graph_packing.edge_packing (Graph.cycle 5), Graph_packing.edge_packing_opt_cycle 5)
+
 let kind_of v = Option.bind (Json.mem "kind" v) Json.str
 
 let count_kind events kind =
@@ -477,7 +483,7 @@ let eps = 0.2
    engine over the same store recovers the job and must produce the same
    certified answer as an uninterrupted run. *)
 let crash_recover_at point ~kill_after =
-  let inst, known_opt = proj () in
+  let inst, known_opt = cycle () in
   let uninterrupted = Solver.solve_packing ~eps inst in
   Alcotest.(check bool) "baseline needs several calls" true
     (uninterrupted.Solver.decision_calls > 2);
